@@ -157,7 +157,6 @@ def synth_channels(rows: int, cols: int, n_channels: int, contrast: float,
 @dataclass(frozen=True)
 class ElementCoefficients:
     values: np.ndarray
-    mesh_id: int
 
     def __post_init__(self):
         if np.any(self.values <= 0):
@@ -168,4 +167,4 @@ def sample_on_mesh(field: CoefficientField, mesh: Mesh) -> ElementCoefficients:
     """One value per fine triangle, evaluated at the barycenter."""
     bary = mesh.geometry()[3]
     vals = np.asarray(field(bary[:, 0], bary[:, 1]), dtype=float)
-    return ElementCoefficients(values=vals, mesh_id=id(mesh))
+    return ElementCoefficients(values=vals)

@@ -3,7 +3,9 @@ operators, quasi-norm, Bregman distance and discrete norms.
 
 Flux-side integrals are exact per element (both grad(u) and kappa are
 element constants); the load pairs vertex-interpolated f through the
-consistent mass matrix.
+consistent mass matrix. Every operator over the free nodes goes through one
+kernel: a per-mesh plan fixes the free-free CSR pattern and the slot of each
+element-block entry, so an assembly is one ``np.bincount`` over those slots.
 """
 
 from __future__ import annotations
@@ -59,16 +61,8 @@ class FemState:
 class LinearizedOperator:
     mode: str
     matrix: sp.csr_matrix          # over free nodes
-    free: np.ndarray               # global indices of free nodes
     free_pos: np.ndarray           # global -> free position (-1 on boundary)
     fingerprint: str
-
-    def submatrix(self, nodes: np.ndarray) -> sp.csr_matrix:
-        """Restriction to a subset of free nodes (given as global indices)."""
-        pos = self.free_pos[nodes]
-        if np.any(pos < 0):
-            raise ValueError("subset contains boundary nodes")
-        return self.matrix[pos][:, pos].tocsr()
 
     def quadratic_form(self, w_free: np.ndarray) -> float:
         return float(w_free @ (self.matrix @ w_free))
@@ -88,27 +82,46 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     return m.tocsr()
 
 
-def _scatter(mesh: Mesh, data: np.ndarray) -> sp.csr_matrix:
-    """Assemble per-element 3x3 blocks into a global sparse matrix."""
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1).reshape(-1)
-    cols = np.tile(t, (1, 3)).reshape(-1)
-    m = sp.coo_matrix(
-        (data.reshape(-1), (rows, cols)), shape=(mesh.n_vertices, mesh.n_vertices)
+def _assembly_plan(mesh: Mesh):
+    """Free-free CSR pattern and the CSR slot of each of the 9 * n_t
+    element-block entries; entries touching the boundary go to slot nnz."""
+    if "asm_plan" not in mesh._cache:
+        t = mesh.triangles
+        pos = mesh.free_pos
+        rows = pos[np.repeat(t, 3, axis=1).reshape(-1)]
+        cols = pos[np.tile(t, (1, 3)).reshape(-1)]
+        keep = (rows >= 0) & (cols >= 0)
+        n = mesh.free_nodes.size
+        keys, inv = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        slots = np.full(rows.size, keys.size, dtype=np.int64)
+        slots[keep] = inv
+        mesh._cache["asm_plan"] = (indptr, keys % n, slots)
+    return mesh._cache["asm_plan"]
+
+
+def _assemble(mesh: Mesh, blocks: np.ndarray) -> sp.csr_matrix:
+    """Sum per-element 3x3 blocks into the matrix over free nodes."""
+    indptr, indices, slots = _assembly_plan(mesh)
+    data = np.bincount(slots, weights=blocks.reshape(-1),
+                       minlength=indices.size + 1)[:-1]
+    n = indptr.size - 1
+    # copies: in-place edits of the result must not reach the cached pattern
+    return sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
+
+
+def _stiffness_blocks(mesh: Mesh, w: np.ndarray) -> np.ndarray:
+    """w_T * (grad lambda_i . grad lambda_j) per element, shape (nt, 3, 3)."""
+    _, gx, gy, _ = mesh.geometry()
+    return w[:, None, None] * (
+        gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
     )
-    return m.tocsr()
 
 
 def weighted_stiffness(mesh: Mesh, elem_weights: np.ndarray) -> sp.csr_matrix:
     """Stiffness matrix with one scalar weight per element, over free nodes."""
-    areas, gx, gy, _ = mesh.geometry()
-    w = areas * elem_weights
-    data = w[:, None, None] * (
-        gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
-    )
-    full = _scatter(mesh, data)
-    free = mesh.free_nodes
-    return full[free][:, free].tocsr()
+    return _assemble(mesh, _stiffness_blocks(mesh, mesh.areas * elem_weights))
 
 
 def energy(state: FemState, coeffs: ElementCoefficients, nf: nfunc.NFunction,
@@ -138,7 +151,7 @@ def residual(state: FemState, coeffs: ElementCoefficients, nf: nfunc.NFunction,
 def _operator_fingerprint(mode: str, nf: nfunc.NFunction, weights: np.ndarray) -> str:
     h = hashlib.sha256()
     h.update(repr((mode, nf.params_key())).encode())
-    h.update(np.round(weights, 12).tobytes())
+    h.update(np.ascontiguousarray(weights, dtype=float).tobytes())
     return h.hexdigest()[:16]
 
 
@@ -156,18 +169,12 @@ def assemble_linearized(state: FemState, coeffs: ElementCoefficients,
     areas, gx, gy, _ = mesh.geometry()
 
     if mode == "gd":
-        weights = areas
-        data = weights[:, None, None] * (
-            gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
-        )
+        blocks = _stiffness_blocks(mesh, areas)
         fp_w = np.ones_like(areas)
     else:
         s = state.grad_norms()
         sec = nfunc.eval_secant(nf, s)
-        weights = areas * coeffs.values * sec
-        data = weights[:, None, None] * (
-            gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
-        )
+        blocks = _stiffness_blocks(mesh, areas * coeffs.values * sec)
         fp_w = coeffs.values * sec
         if mode == "newton":
             _, dphi, ddphi = nfunc.eval(nf, s)
@@ -175,20 +182,16 @@ def assemble_linearized(state: FemState, coeffs: ElementCoefficients,
             c = np.where(s > 0, (ddphi * s - dphi) / safe ** 3, 0.0)
             g = state.grads()
             d = g[:, 0:1] * gx + g[:, 1:2] * gy      # (nt, 3): grad u . grad lambda_i
-            data += (areas * coeffs.values * c)[:, None, None] * (
+            blocks += (areas * coeffs.values * c)[:, None, None] * (
                 d[:, :, None] * d[:, None, :]
             )
             fp_w = np.column_stack([fp_w, coeffs.values * c])
 
-    full = _scatter(mesh, data)
-    free = mesh.free_nodes
-    mat = full[free][:, free].tocsr()
     return LinearizedOperator(
         mode=mode,
-        matrix=mat,
-        free=free,
+        matrix=_assemble(mesh, blocks),
         free_pos=mesh.free_pos,
-        fingerprint=_operator_fingerprint(mode, nf, np.ascontiguousarray(fp_w)),
+        fingerprint=_operator_fingerprint(mode, nf, fp_w),
     )
 
 
@@ -213,13 +216,13 @@ def bregman(state_u: FemState, state_v: FemState, coeffs: ElementCoefficients,
     return ju - jv - float(rv @ diff)
 
 
-def residual_l2h_norm(r: np.ndarray, mass, tol: float = 1e-10) -> float:
+def residual_l2h_norm(r: np.ndarray, mass) -> float:
     """Discrete dual norm sqrt(r' M^-1 r); `mass` is the free-node mass matrix
     or a prefactorized solve closure."""
     r = np.asarray(r, dtype=float)
     if not np.any(r):
         return 0.0
-    x = mass(r) if callable(mass) else sparsela.solve_spd(mass, r, tol=tol)
+    x = mass(r) if callable(mass) else sparsela.factorized_spd(mass)(r)
     return math.sqrt(max(float(r @ x), 0.0))
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import logging
 import os
+import tempfile
+import zipfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -70,16 +72,16 @@ def build_measurements(mesh: Mesh) -> MeasurementSet:
 
 
 def _solve_basis(op: LinearizedOperator, meas: MeasurementSet, mesh: Mesh,
-                 i: int, layers: int | None, tol: float):
-    """One constrained minimization; returns (patch, global free-node vector)."""
-    n_free = op.matrix.shape[0]
+                 i: int, layers: int | None, patch: Patch | None, tol: float):
+    """One constrained minimization; returns (patch, free-node positions,
+    values) of basis i. `patch` is reused when given, else built."""
     if layers is None:
-        patch = None
-        nodes_pos = np.arange(n_free)
+        nodes_pos = np.arange(op.matrix.shape[0])
         coarse_ids = np.arange(meas.n_coarse)
         a_sub = op.matrix
     else:
-        patch = build_patch(mesh, i, layers)
+        if patch is None:
+            patch = build_patch(mesh, i, layers)
         nodes_pos = op.free_pos[patch.interior_fine_nodes]
         coarse_ids = patch.elements
         a_sub = op.matrix[nodes_pos][:, nodes_pos].tocsr()
@@ -95,9 +97,7 @@ def _solve_basis(op: LinearizedOperator, meas: MeasurementSet, mesh: Mesh,
         raise sparsela.RankDeficiencyError(
             f"basis {i} (layers={layers}): {exc}"
         ) from exc
-    phi = np.zeros(n_free)
-    phi[nodes_pos] = x
-    return patch, phi
+    return patch, nodes_pos, x
 
 
 def compute_basis(op: LinearizedOperator, meas: MeasurementSet, mesh: Mesh,
@@ -109,39 +109,42 @@ def compute_basis(op: LinearizedOperator, meas: MeasurementSet, mesh: Mesh,
     subset (the remaining rows are zero and flagged stale).
     """
     n = meas.n_coarse
-    if indices is None:
-        indices = range(n)
-    rows = sp.lil_matrix((n, op.matrix.shape[0]))
-    stale = np.ones(n, dtype=bool)
-    patches: list[Patch | None] = [None] * n
-    for i in indices:
-        patch, phi = _solve_basis(op, meas, mesh, i, layers, tol)
-        rows[i] = phi
-        patches[i] = patch
-        stale[i] = False
-    return CoarseSpace(
-        basis=rows.tocsr(),
+    empty = CoarseSpace(
+        basis=sp.csr_matrix((n, op.matrix.shape[0])),
         layers=layers,
-        patches=patches,
-        built_from=op.fingerprint,
-        stale=stale,
+        patches=[None] * n,
+        built_from="",
+        stale=np.ones(n, dtype=bool),
     )
+    return refresh_basis(empty, op, meas, mesh,
+                         range(n) if indices is None else indices, tol=tol)
 
 
 def refresh_basis(space: CoarseSpace, op: LinearizedOperator, meas: MeasurementSet,
                   mesh: Mesh, indices, tol: float = 1e-10) -> CoarseSpace:
     """Recompute the selected bases against a new operator, keep the rest."""
-    rows = space.basis.tolil(copy=True)
     stale = np.ones(space.n_basis, dtype=bool)
     patches = list(space.patches)
+    rows, cols, vals = [], [], []
     for i in indices:
-        patch, phi = _solve_basis(op, meas, mesh, i, space.layers, tol)
-        rows[i] = phi
-        patches[i] = patch
+        patches[i], nodes_pos, x = _solve_basis(
+            op, meas, mesh, i, space.layers, patches[i], tol
+        )
+        rows.append(np.full(x.size, i))
+        cols.append(nodes_pos)
+        vals.append(x)
         stale[i] = False
+    # rows not rebuilt are kept as they are, the rebuilt ones zeroed and
+    # replaced by their new triplets
+    basis = sp.diags(stale.astype(float)) @ space.basis
+    if vals:
+        basis = basis + sp.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=basis.shape,
+        )
     return replace(
         space,
-        basis=rows.tocsr(),
+        basis=basis.tocsr(),
         patches=patches,
         built_from=op.fingerprint,
         stale=stale,
@@ -187,18 +190,30 @@ def cache_path(mesh_fp: str, op_fp: str, layers) -> str | None:
 
 
 def save_cache(space: CoarseSpace, mesh_fp: str, path) -> None:
-    """Persist the basis matrix; reload is bit-identical."""
+    """Persist the basis matrix; reload is bit-identical.
+
+    Writes a temporary file in the same directory and renames it onto
+    `path`, so concurrent readers see either no file or a complete one.
+    """
     b = space.basis.tocsr()
-    np.savez(
-        path,
-        mesh_fp=np.frombuffer(mesh_fp.encode(), dtype=np.uint8),
-        op_fp=np.frombuffer(space.built_from.encode(), dtype=np.uint8),
-        layers=np.array(-1 if space.layers is None else space.layers),
-        shape=np.array(b.shape),
-        data=b.data,
-        indices=b.indices,
-        indptr=b.indptr,
-    )
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.fspath(path)) or ".",
+                               suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(
+                fh,
+                mesh_fp=np.frombuffer(mesh_fp.encode(), dtype=np.uint8),
+                op_fp=np.frombuffer(space.built_from.encode(), dtype=np.uint8),
+                layers=np.array(-1 if space.layers is None else space.layers),
+                shape=np.array(b.shape),
+                data=b.data,
+                indices=b.indices,
+                indptr=b.indptr,
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_cache(path, mesh_fp: str) -> CoarseSpace | None:
@@ -217,5 +232,5 @@ def load_cache(path, mesh_fp: str) -> CoarseSpace | None:
                 built_from=z["op_fp"].tobytes().decode(),
                 stale=np.zeros(basis.shape[0], dtype=bool),
             )
-    except (OSError, KeyError, ValueError):
+    except (OSError, KeyError, ValueError, zipfile.BadZipFile):
         return None

@@ -16,7 +16,7 @@ import numpy as np
 
 @dataclass
 class Mesh:
-    """Triangle mesh. Structured meshes carry grid metadata; submeshes do not.
+    """Triangle mesh; structured meshes also carry grid metadata.
 
     vertices: (nv, 2) coordinates. triangles: (nt, 3) CCW vertex indices.
     boundary_nodes: sorted indices of nodes on the region boundary.
@@ -49,7 +49,7 @@ class Mesh:
     @property
     def n_coarse_triangles(self) -> int:
         if not self.is_structured:
-            raise ValueError("submesh has no coarse structure")
+            raise ValueError("unstructured mesh has no coarse structure")
         return 2 * self.ncx * self.ncy
 
     @property
@@ -244,37 +244,3 @@ def build_patch(mesh: Mesh, i: int, layers: int) -> Patch:
         fine_elements=fine_elements,
         interior_fine_nodes=interior,
     )
-
-
-def extract_submesh(mesh: Mesh, patch: Patch) -> tuple[Mesh, np.ndarray]:
-    """Mesh restricted to patch fine elements, plus local->global node map.
-
-    Nodes on the patch boundary (including any domain boundary inside the
-    patch) are flagged as boundary nodes of the submesh.
-    """
-    tris = mesh.triangles[patch.fine_elements]
-    node_map = np.unique(tris.ravel())
-    local = np.full(mesh.n_vertices, -1, dtype=np.int64)
-    local[node_map] = np.arange(node_map.size)
-    interior_mask = np.zeros(mesh.n_vertices, dtype=bool)
-    interior_mask[patch.interior_fine_nodes] = True
-    sub_boundary = np.flatnonzero(~interior_mask[node_map])
-    sub = Mesh(
-        vertices=mesh.vertices[node_map].copy(),
-        triangles=local[tris],
-        boundary_nodes=sub_boundary,
-        level=mesh.level,
-        parent=mesh.parent[patch.fine_elements].copy(),
-    )
-    return sub, node_map
-
-
-def dump_text(mesh: Mesh, path) -> None:
-    """Plain-text dump for debugging: node lines then triangle lines."""
-    with open(path, "w") as fh:
-        fh.write(f"nodes {mesh.n_vertices}\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{x!r} {y!r}\n")
-        fh.write(f"triangles {mesh.n_triangles}\n")
-        for a, b, c in mesh.triangles:
-            fh.write(f"{a} {b} {c}\n")

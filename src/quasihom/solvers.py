@@ -104,6 +104,12 @@ class Problem:
         self.kappa = kappa
         self.nf = nf
         self.f_nodes = np.asarray(f_nodes, dtype=float)
+        if kappa.values.size != mesh.n_triangles:
+            raise ValueError(f"kappa has {kappa.values.size} values for "
+                             f"{mesh.n_triangles} triangles")
+        if self.f_nodes.size != mesh.n_vertices:
+            raise ValueError(f"f has {self.f_nodes.size} values for "
+                             f"{mesh.n_vertices} nodes")
         self.mass = fem.assemble_mass(mesh)
         free = mesh.free_nodes
         self.mass_free = self.mass[free][:, free].tocsr()

@@ -1,10 +1,10 @@
 """Sparse SPD and constrained saddle-point solves.
 
-SPD systems go through Jacobi-preconditioned conjugate gradients with a
-direct sparse factorization available as a drop-in (``factorized_spd``).
-Saddle systems (equality-constrained quadratic minimization) are solved by a
-direct factorization of the KKT matrix; the residual of both blocks is
-checked after the solve.
+SPD systems go through a direct sparse factorization (``factorized_spd``)
+that returns a solve closure for repeated right-hand sides. Saddle systems
+(equality-constrained quadratic minimization) are solved by a direct
+factorization of the KKT matrix; the residual of both blocks is checked
+after the solve.
 """
 
 from __future__ import annotations
@@ -30,64 +30,9 @@ class RankDeficiencyError(SolveError):
     pass
 
 
-def _check_symmetric(a: sp.csr_matrix, tol: float = 1e-10) -> None:
-    d = a - a.T
-    if d.nnz:
-        scale = max(abs(a.data).max(), 1.0) if a.nnz else 1.0
-        if abs(d.data).max() > tol * scale:
-            raise ValueError("matrix is not symmetric")
-
-
-def solve_spd(a, b, tol: float = 1e-10, max_iters: int | None = None) -> np.ndarray:
-    """Conjugate gradients with diagonal preconditioning for SPD systems.
-
-    Returns x with ||a x - b|| <= tol * ||b||. Deterministic for fixed input.
-    """
-    a = sp.csr_matrix(a)
-    b = np.asarray(b, dtype=float)
-    n = b.size
-    if a.shape != (n, n):
-        raise ValueError("shape mismatch")
-    _check_symmetric(a)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n)
-    if max_iters is None:
-        max_iters = 20 * n
-
-    diag = a.diagonal()
-    if np.any(diag <= 0):
-        raise ValueError("nonpositive diagonal entry; matrix is not SPD")
-    inv_diag = 1.0 / diag
-
-    x = np.zeros(n)
-    r = b.copy()
-    z = inv_diag * r
-    d = z.copy()
-    rz = r @ z
-    for _ in range(max_iters):
-        ad = a @ d
-        dad = d @ ad
-        if dad <= 0:
-            raise ValueError("matrix is not positive definite")
-        alpha = rz / dad
-        x += alpha * d
-        r -= alpha * ad
-        if np.linalg.norm(r) <= tol * bnorm:
-            return x
-        z = inv_diag * r
-        rz_new = r @ z
-        d = z + (rz_new / rz) * d
-        rz = rz_new
-    raise ConvergenceError(
-        f"PCG did not converge within {max_iters} iterations",
-        np.linalg.norm(r) / bnorm,
-    )
-
-
 def factorized_spd(a):
-    """Direct sparse factorization returning a solve closure (drop-in for
-    repeated solves with one matrix)."""
+    """Direct sparse factorization returning a solve closure for repeated
+    right-hand sides with one matrix."""
     a = sp.csc_matrix(a)
     try:
         lu = spla.splu(a)
@@ -115,7 +60,7 @@ def solve_saddle(system: SaddleSystem, tol: float = 1e-10):
     if b.shape[1] != n or f.size != n or g.size != m:
         raise ValueError("saddle system shape mismatch")
     if m == 0:
-        return solve_spd(a, f, tol=tol), np.zeros(0)
+        return factorized_spd(a)(f), np.zeros(0)
     if m > n:
         raise RankDeficiencyError(f"more constraints ({m}) than unknowns ({n})")
 

@@ -141,7 +141,7 @@ def test_newton_element_matrix_constant_gradient():
     # single triangle, grad u = (1, 0), p=4, kappa=1:
     # newton form = |grad u|^2 (grad li . grad lj) + 2 (dx li)(dx lj)
     m = _reference_triangle()
-    kap = coeff.ElementCoefficients(values=np.ones(1), mesh_id=0)
+    kap = coeff.ElementCoefficients(values=np.ones(1))
     nf = nfunc.NFunction("power", 4.0)
     u = np.array([0.0, 1.0, 0.0])  # grad = (1, 0)
     st = FemState(m, u)
@@ -175,7 +175,7 @@ def test_quasi_norm_single_triangle_hand():
         triangles=np.array([[0, 1, 2]]),
         boundary_nodes=np.array([], dtype=int),
     )
-    kap = coeff.ElementCoefficients(values=np.ones(1), mesh_id=0)
+    kap = coeff.ElementCoefficients(values=np.ones(1))
     nf = nfunc.NFunction("power", 4.0)
     u = np.array([0.0, 2.0, 0.0])   # grad u = (1, 0)
     w = np.array([0.0, 0.0, 3.0])   # grad w = (0, 3)
@@ -304,3 +304,14 @@ def test_operator_fingerprint_changes_with_state(rng):
     f2 = pr.operator(s2, "pgd").fingerprint
     assert f1 == f1b
     assert f1 != f2
+
+
+def test_operator_fingerprint_exact_weights(rng):
+    # states of size 1e-7 give secant weights that agree to 12 decimals but
+    # differ in their leading digits; the fingerprints must tell them apart
+    pr = make_problem(4, 2, p=5.0, kind="mstrig", nf_kind="power")
+    op1 = pr.operator(random_state(pr, rng, scale=1e-7), "pgd")
+    op2 = pr.operator(random_state(pr, rng, scale=1e-7), "pgd")
+    diff = abs(op1.matrix - op2.matrix).max() / abs(op1.matrix).max()
+    assert diff > 0.1
+    assert op1.fingerprint != op2.fingerprint

@@ -291,6 +291,33 @@ def test_cache_roundtrip_bit_identical(tmp_path):
     assert load_cache(tmp_path / "missing.npz", "meshfp") is None
 
 
+def test_cache_truncated_file_is_a_miss(tmp_path):
+    pr = make_problem(2, 2, p=2.0, kind="mstrig")
+    op = _p2_operator(pr)
+    meas = build_measurements(pr.mesh)
+    space = compute_basis(op, meas, pr.mesh, layers=2)
+    path = tmp_path / "basis.npz"
+    save_cache(space, "meshfp", path)
+    assert [f.name for f in tmp_path.iterdir()] == ["basis.npz"]
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+    assert load_cache(path, "meshfp") is None
+
+
+def test_refresh_reuses_held_patches(monkeypatch):
+    pr = make_problem(3, 2, p=2.0, kind="mstrig")
+    op = _p2_operator(pr)
+    meas = build_measurements(pr.mesh)
+    space0 = compute_basis(op, meas, pr.mesh, layers=1)
+    assert all(p is not None for p in space0.patches)
+    calls = []
+    monkeypatch.setattr(grps, "build_patch",
+                        lambda *a: calls.append(a) or build_patch(*a))
+    space1 = refresh_basis(space0, op, meas, pr.mesh, indices=range(meas.n_coarse))
+    assert calls == []
+    assert np.array_equal(space1.basis.toarray(), space0.basis.toarray())
+
+
 def test_degenerate_single_refinement_raises():
     # one refinement level leaves too few interior nodes per constraint
     from quasihom.sparsela import RankDeficiencyError

@@ -7,8 +7,6 @@ from quasihom.mesh import (
     Mesh,
     build_coarse_mesh,
     build_patch,
-    dump_text,
-    extract_submesh,
     refine,
 )
 
@@ -129,38 +127,27 @@ def test_patch_index_error():
         build_patch(m, 99, 1)
 
 
-def test_full_patch_submesh_is_identity():
+def test_full_patch_covers_mesh():
+    # a patch grown over the whole domain holds every fine element, and its
+    # interior nodes are exactly the free nodes of the mesh
     m = refine(build_coarse_mesh(2, 2), 1)
     p = build_patch(m, 0, 4)
-    sub, node_map = extract_submesh(m, p)
-    assert np.array_equal(node_map, np.arange(m.n_vertices))
-    assert np.array_equal(sub.triangles, m.triangles)
-    assert np.array_equal(np.sort(sub.boundary_nodes), np.sort(m.boundary_nodes))
-
-
-def test_submesh_node_count_matches_brute_force():
-    m = refine(build_coarse_mesh(4, 4), 1)
-    p = build_patch(m, 2 * (1 * 4 + 1), 1)
-    sub, node_map = extract_submesh(m, p)
-    expected = np.unique(m.triangles[p.fine_elements].ravel())
-    assert sub.n_vertices == expected.size
-    assert np.array_equal(node_map, expected)
+    assert np.array_equal(p.fine_elements, np.arange(m.n_triangles))
+    assert np.array_equal(p.interior_fine_nodes, m.free_nodes)
 
 
 def test_corner_triangle_submesh_boundary_flags():
     # single coarse-triangle patch at the domain corner: nodes strictly inside
-    # the triangle are interior, everything on its edges is boundary
+    # the triangle are interior, everything on its edges is not
     m = refine(build_coarse_mesh(2, 2), 2)
     p = build_patch(m, 0, 0)
-    sub, node_map = extract_submesh(m, p)
-    interior_global = set(p.interior_fine_nodes.tolist())
-    for local, g in enumerate(node_map):
+    interior = set(p.interior_fine_nodes.tolist())
+    for g in np.unique(m.triangles[p.fine_elements].ravel()):
         x, y = m.vertices[g]
         on_domain_boundary = x in (0.0, 1.0) or y in (0.0, 1.0)
         if on_domain_boundary:
-            assert local in sub.boundary_nodes
-        if g in interior_global:
-            assert local not in sub.boundary_nodes
+            assert g not in interior
+        if g in interior:
             # strictly inside the lower triangle of the first coarse cell
             assert y < x and x < 0.5 and y > 0.0
 
@@ -180,12 +167,3 @@ def test_interior_fine_nodes_match_definition():
         and all(t in fine_set for t in tri_of_node[v])
     ]
     assert np.array_equal(p.interior_fine_nodes, expected)
-
-
-def test_dump_text(tmp_path):
-    m = build_coarse_mesh(2, 1)
-    path = tmp_path / "mesh.txt"
-    dump_text(m, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"nodes {m.n_vertices}"
-    assert f"triangles {m.n_triangles}" in lines

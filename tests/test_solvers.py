@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quasihom import fem, nfunc, solvers, sparsela
+from quasihom import coeff, fem, nfunc, solvers, sparsela
 from quasihom.solvers import LineSearchError, SolverConfig
 
 from conftest import make_problem, random_state
@@ -19,6 +19,19 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(method="quasinorm", space="coarse").validate()
     SolverConfig().validate()
+
+
+def test_problem_rejects_wrong_kappa_size():
+    pr = make_problem(2, 1)
+    one = coeff.ElementCoefficients(values=np.ones(1))
+    with pytest.raises(ValueError, match="kappa"):
+        solvers.Problem(pr.mesh, one, pr.nf, pr.f_nodes)
+
+
+def test_problem_rejects_wrong_f_size():
+    pr = make_problem(2, 1)
+    with pytest.raises(ValueError, match="f has"):
+        solvers.Problem(pr.mesh, pr.kappa, pr.nf, pr.f_nodes[:-1])
 
 
 def test_poisson_initial_is_p2_minimizer():
