@@ -37,7 +37,27 @@ class ConfigError(Exception):
     pass
 
 
-# key -> (converter, default)
+def _parse_bool(s) -> bool:
+    if str(s).lower() in ("1", "true", "yes", "on"):
+        return True
+    if str(s).lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {s!r}")
+
+
+def _parse_delta_i(s) -> float | None:
+    """A float threshold, or "full" (None: rebuild every basis, no indicators)."""
+    s = str(s).strip().lower()
+    return None if s == "full" else float(s)
+
+
+def _list_of(conv):
+    def parse(s) -> list:
+        return [conv(tok.strip()) for tok in str(s).split(",") if tok.strip()]
+    return parse
+
+
+# key -> (converter, default); defaults go through the converter too
 _SCHEMA: dict[str, tuple] = {
     "mesh.nc_x": (int, 8),
     "mesh.nc_y": (int, 8),
@@ -64,31 +84,23 @@ _SCHEMA: dict[str, tuple] = {
     "solver.max_iters": (int, 100),
     "solver.line_search": (str, "plain"),
     "solver.delta": (float, 0.68),
-    "solver.delta_i": (str, "0"),          # float or "full"
+    "solver.delta_i": (_parse_delta_i, "0"),   # float or "full"
     "solver.inner_tol": (float, 1e-12),
     "solver.inner_cap": (int, 100),
     "solver.ell": (int, -1),               # -1 = log(1/H) default
-    "solver.global_basis": (str, "false"),
+    "solver.global_basis": (_parse_bool, "false"),
     "solver.cq": (float, 2.0),
-    "solver.estimate_cn": (str, "true"),
+    "solver.estimate_cn": (_parse_bool, "true"),
     "solver.u0": (str, "poisson"),         # poisson | zero | half_reference
-    "solve.reference": (str, "false"),
-    "compare.methods": (str, "gd,pgd,newton,quasinorm"),
+    "solve.reference": (_parse_bool, "false"),
+    "compare.methods": (_list_of(str), "gd,pgd,newton,quasinorm"),
     "compare.max_iters": (int, 20),
-    "hom.nc_list": (str, "4,8,16"),
+    "hom.nc_list": (_list_of(int), "4,8,16"),
     "hom.fine_n": (int, 64),
-    "reg.eps_list": (str, "1e-2,1e-4,1e-6"),
+    "reg.eps_list": (_list_of(float), "1e-2,1e-4,1e-6"),
     "reg.ref_eps_pow": (float, 1e-10),
-    "sparse.delta_list": (str, "0.3,3,30"),
+    "sparse.delta_list": (_list_of(float), "0.3,3,30"),
 }
-
-
-def _parse_bool(s) -> bool:
-    if str(s).lower() in ("1", "true", "yes", "on"):
-        return True
-    if str(s).lower() in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"not a boolean: {s!r}")
 
 
 @dataclass
@@ -97,15 +109,6 @@ class RunConfig:
 
     def __getitem__(self, key: str):
         return self.values[key]
-
-    def getbool(self, key: str) -> bool:
-        return _parse_bool(self.values[key])
-
-    def floats(self, key: str) -> list[float]:
-        return [float(tok) for tok in str(self.values[key]).split(",") if tok]
-
-    def ints(self, key: str) -> list[int]:
-        return [int(tok) for tok in str(self.values[key]).split(",") if tok]
 
 
 def parse_config(path: str | None, overrides: list[tuple[str, str]]) -> RunConfig:
@@ -127,11 +130,12 @@ def parse_config(path: str | None, overrides: list[tuple[str, str]]) -> RunConfi
     for key, value in overrides:
         raw[key] = value
 
-    values = {key: default for key, (_, default) in _SCHEMA.items()}
-    for key, sval in raw.items():
+    for key in raw:
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        conv = _SCHEMA[key][0]
+    values = {}
+    for key, (conv, default) in _SCHEMA.items():
+        sval = raw.get(key, default)
         try:
             values[key] = conv(sval)
         except (TypeError, ValueError) as exc:
@@ -188,21 +192,22 @@ def build_source(cfg: RunConfig, mesh) -> np.ndarray:
 
 def build_problem(cfg: RunConfig, nc_x=None, nc_y=None, level=None,
                   eps_minus_pow=None) -> solvers.Problem:
-    mesh = refine(
-        build_coarse_mesh(
-            nc_x or cfg["mesh.nc_x"], nc_y or cfg["mesh.nc_y"],
-            cfg["mesh.lx"], cfg["mesh.ly"],
-        ),
-        cfg["mesh.refine"] if level is None else level,
-    )
-    kappa = coeff.sample_on_mesh(build_field(cfg), mesh)
-    nf = build_nfunction(cfg, eps_minus_pow)
+    try:
+        mesh = refine(
+            build_coarse_mesh(
+                nc_x or cfg["mesh.nc_x"], nc_y or cfg["mesh.nc_y"],
+                cfg["mesh.lx"], cfg["mesh.ly"],
+            ),
+            cfg["mesh.refine"] if level is None else level,
+        )
+        kappa = coeff.sample_on_mesh(build_field(cfg), mesh)
+        nf = build_nfunction(cfg, eps_minus_pow)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
     return solvers.Problem(mesh, kappa, nf, build_source(cfg, mesh))
 
 
 def solver_config(cfg: RunConfig, **overrides) -> solvers.SolverConfig:
-    delta_i_raw = str(cfg["solver.delta_i"]).strip().lower()
-    delta_i = None if delta_i_raw == "full" else float(delta_i_raw)
     kwargs = dict(
         method=cfg["solver.method"],
         space=cfg["solver.space"],
@@ -210,13 +215,13 @@ def solver_config(cfg: RunConfig, **overrides) -> solvers.SolverConfig:
         max_iters=cfg["solver.max_iters"],
         line_search=cfg["solver.line_search"],
         delta=cfg["solver.delta"],
-        sparse_update_threshold=delta_i,
+        sparse_update_threshold=cfg["solver.delta_i"],
         inner_tol=cfg["solver.inner_tol"],
         inner_cap=cfg["solver.inner_cap"],
         localization=None if cfg["solver.ell"] < 0 else cfg["solver.ell"],
-        global_basis=cfg.getbool("solver.global_basis"),
+        global_basis=cfg["solver.global_basis"],
         cq=cfg["solver.cq"],
-        estimate_cn=cfg.getbool("solver.estimate_cn"),
+        estimate_cn=cfg["solver.estimate_cn"],
     )
     kwargs.update(overrides)
     out = solvers.SolverConfig(**kwargs)
@@ -422,7 +427,7 @@ def _initial_guess(cfg: RunConfig, problem: solvers.Problem,
 def run_solve(cfg: RunConfig, out: str, jobs: int) -> None:
     problem = build_problem(cfg)
     reference = None
-    if cfg.getbool("solve.reference"):
+    if cfg["solve.reference"]:
         reference = _fine_reference(problem, cfg).final_energy
     report = solvers.solve(problem, solver_config(cfg),
                            u0=_initial_guess(cfg, problem),
@@ -446,7 +451,7 @@ def run_compare_methods(cfg: RunConfig, out: str, jobs: int) -> None:
     problem = build_problem(cfg)
     reference = _fine_reference(problem, cfg)
     j_ref = min(reference.final_energy, float(reference.energies.min()))
-    methods = [m.strip() for m in str(cfg["compare.methods"]).split(",") if m.strip()]
+    methods = cfg["compare.methods"]
 
     def one(method: str):
         scfg = solver_config(cfg, method=method, space="fine",
@@ -476,7 +481,7 @@ def run_compare_methods(cfg: RunConfig, out: str, jobs: int) -> None:
 
 
 def run_homogenization_error(cfg: RunConfig, out: str, jobs: int) -> None:
-    nc_list = cfg.ints("hom.nc_list")
+    nc_list = cfg["hom.nc_list"]
     fine_n = cfg["hom.fine_n"]
     p = cfg["nfunc.p"]
 
@@ -513,7 +518,7 @@ def run_homogenization_error(cfg: RunConfig, out: str, jobs: int) -> None:
 
 
 def run_regularization_study(cfg: RunConfig, out: str, jobs: int) -> None:
-    eps_list = cfg.floats("reg.eps_list")
+    eps_list = cfg["reg.eps_list"]
     ref_problem = build_problem(cfg, eps_minus_pow=cfg["reg.ref_eps_pow"])
     ref_report = _fine_reference(ref_problem, cfg)
     power_problem = solvers.Problem(
@@ -564,7 +569,7 @@ def run_sparse_update_study(cfg: RunConfig, out: str, jobs: int) -> None:
 
     frac0, h1_full = run_with(None, "full")
     rows = [[0.0, frac0 * 100.0, h1_full]]
-    for d in cfg.floats("sparse.delta_list"):
+    for d in cfg["sparse.delta_list"]:
         frac, h1 = run_with(d, f"{d:g}")
         rows.append([d, frac * 100.0, h1])
     table = ResultTable(

@@ -1,5 +1,5 @@
 """P1 assembly for the nonlinear energy: values, gradients, linearized
-operators, quasi-norm, Bregman distance and discrete norms.
+operators and discrete norms.
 
 Flux-side integrals are exact per element (both grad(u) and kappa are
 element constants); the load pairs vertex-interpolated f through the
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import nfunc, sparsela
+from . import nfunc
 from .coeff import ElementCoefficients
 from .mesh import Mesh
 
@@ -52,9 +52,6 @@ class FemState:
     def grad_norms(self) -> np.ndarray:
         g = self.grads()
         return np.hypot(g[:, 0], g[:, 1])
-
-    def updated(self, u: np.ndarray) -> "FemState":
-        return FemState(self.mesh, u)
 
 
 @dataclass
@@ -195,34 +192,13 @@ def assemble_linearized(state: FemState, coeffs: ElementCoefficients,
     )
 
 
-def quasi_norm(state: FemState, w: np.ndarray, coeffs: ElementCoefficients,
-               nf: nfunc.NFunction) -> float:
-    """sum_T |T| kappa_T phi''(|grad u| + |grad w|) |grad w|^2."""
-    mesh = state.mesh
-    wn = FemState(mesh, w).grad_norms()
-    dd = nfunc.eval(nf, state.grad_norms() + wn)[2]
-    return float(mesh.areas @ (coeffs.values * dd * wn ** 2))
-
-
-def bregman(state_u: FemState, state_v: FemState, coeffs: ElementCoefficients,
-            nf: nfunc.NFunction, load: np.ndarray) -> float:
-    """J(u) - J(v) - J'(v)(u - v); nonnegative by convexity."""
-    if state_u.mesh is not state_v.mesh:
-        raise ValueError("states must share a mesh")
-    ju = energy(state_u, coeffs, nf, load)
-    jv = energy(state_v, coeffs, nf, load)
-    rv = residual(state_v, coeffs, nf, load)
-    diff = (state_u.u - state_v.u)[state_u.mesh.free_nodes]
-    return ju - jv - float(rv @ diff)
-
-
-def residual_l2h_norm(r: np.ndarray, mass) -> float:
-    """Discrete dual norm sqrt(r' M^-1 r); `mass` is the free-node mass matrix
-    or a prefactorized solve closure."""
+def residual_l2h_norm(r: np.ndarray, mass_solve) -> float:
+    """Discrete dual norm sqrt(r' M^-1 r); `mass_solve` applies the inverse
+    of the free-node mass matrix, e.g. ``sparsela.factorized_spd(mass)``."""
     r = np.asarray(r, dtype=float)
     if not np.any(r):
         return 0.0
-    x = mass(r) if callable(mass) else sparsela.factorized_spd(mass)(r)
+    x = mass_solve(r)
     return math.sqrt(max(float(r @ x), 0.0))
 
 

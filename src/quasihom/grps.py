@@ -171,13 +171,8 @@ def coarse_solve(op: LinearizedOperator, rhs: np.ndarray,
     return r.T @ y
 
 
-def update_indicator(op_incr: LinearizedOperator, basis_vec: np.ndarray) -> float:
-    """Energy of one basis in the operator linearized at the last increment."""
-    return float(basis_vec @ (op_incr.matrix @ basis_vec))
-
-
 def update_indicators(op_incr: LinearizedOperator, space: CoarseSpace) -> np.ndarray:
-    """Vectorized update_indicator over all bases."""
+    """Energy of each basis in the operator linearized at the last increment."""
     prod = space.basis @ op_incr.matrix
     return np.asarray(prod.multiply(space.basis).sum(axis=1)).ravel()
 
@@ -218,7 +213,8 @@ def save_cache(space: CoarseSpace, mesh_fp: str, path) -> None:
 
 def load_cache(path, mesh_fp: str) -> CoarseSpace | None:
     try:
-        with np.load(path) as z:
+        # np.load leaks the handle it opens itself when the zip is truncated
+        with open(path, "rb") as fh, np.load(fh) as z:
             if z["mesh_fp"].tobytes().decode() != mesh_fp:
                 return None
             layers = int(z["layers"])

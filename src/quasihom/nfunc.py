@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 KINDS = ("power", "reg_c1", "reg_c2")
 
@@ -44,7 +43,16 @@ class NFunction:
         if p == 2.0:
             em = eps_minus_pow  # exponent 0 makes the floor meaningless; keep em>0
         else:
-            em = eps_minus_pow ** (1.0 / (p - 2.0))
+            try:
+                em = eps_minus_pow ** (1.0 / (p - 2.0))
+            except OverflowError:
+                em = math.inf
+            if eps_minus_pow > 0 and not 0.0 < em < math.inf:
+                raise ValueError(
+                    f"eps_minus = eps_minus_pow ** (1 / (p - 2)) "
+                    f"{'underflows to 0' if em == 0.0 else 'overflows'} "
+                    f"for p = {p!r}, eps_minus_pow = {eps_minus_pow!r}"
+                )
         return NFunction(kind=kind, p=p, eps_minus=em, eps_plus=eps_plus)
 
     def params_key(self) -> tuple:
@@ -140,22 +148,3 @@ def eval_secant(nf: NFunction, t):
             lim = 2.0 / p * nf.eps_minus ** (p - 2.0)
         sec = np.where(t > 0, dphi / safe, lim)
     return float(sec[0]) if scalar else sec
-
-
-def eval_shifted(nf: NFunction, a: float, t: float) -> tuple[float, float]:
-    """Shifted N-function: phi_a'(t) = t * phi'(max(a,t)) / max(a,t), and its
-    antiderivative phi_a(t) by adaptive quadrature (test-oracle use only)."""
-    if a < 0 or t < 0:
-        raise ValueError("shift and argument must be >= 0")
-    if a == 0.0:
-        phi, dphi, _ = eval(nf, t)
-        return float(phi), float(dphi)
-    m = max(a, t)
-    dphi_a = t * float(eval(nf, m)[1]) / m
-
-    def integrand(s):
-        ms = max(a, s)
-        return s * float(eval(nf, ms)[1]) / ms
-
-    phi_a, _ = quad(integrand, 0.0, t, epsabs=1e-14, epsrel=1e-10, limit=200)
-    return phi_a, dphi_a

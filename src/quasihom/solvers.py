@@ -9,6 +9,7 @@ line-searched on top.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -279,20 +280,23 @@ def line_search(problem: Problem, state: fem.FemState, w_free: np.ndarray,
     elif mode == "plain":
         alpha = _bracket_and_golden(energy_at, j0, cfg.alpha_max, cfg.ls_rel_tol)
     elif mode == "residual_regularized":
-        def res_sq(alpha: float) -> float:
-            rr = problem.residual(problem.stepped(state, alpha, w_free))
-            return problem.residual_l2h(rr) ** 2
+        def trial(alpha: float) -> tuple[float, float]:
+            st = problem.stepped(state, alpha, w_free)
+            return problem.energy(st), problem.residual_l2h(problem.residual(st)) ** 2
 
         tau = cfg.fd_step
-        de = (energy_at(tau) - energy_at(-tau)) / (2.0 * tau)
-        dr = (res_sq(tau) - res_sq(-tau)) / (2.0 * tau)
+        (e_p, r_p), (e_m, r_m) = trial(tau), trial(-tau)
+        de = (e_p - e_m) / (2.0 * tau)
+        dr = (r_p - r_m) / (2.0 * tau)
         lam = abs(de) / max(abs(dr), 1e-300)
 
         def objective(alpha: float) -> float:
-            return energy_at(alpha) + lam * res_sq(alpha)
+            e, rs = trial(alpha)
+            return e + lam * rs
 
         alpha = _bracket_and_golden(
-            objective, j0 + lam * res_sq(0.0), cfg.alpha_max, cfg.ls_rel_tol
+            objective, j0 + lam * problem.residual_l2h(r) ** 2,
+            cfg.alpha_max, cfg.ls_rel_tol,
         )
     else:
         raise ValueError(f"unknown line-search mode {mode!r}")
@@ -373,7 +377,7 @@ def solve(problem: Problem, cfg: SolverConfig,
 
     records: list[IterationRecord] = []
     mode = _operator_mode(cfg.method)
-    reg_active = cfg.line_search == "residual_regularized"
+    ls_mode = cfg.line_search      # a regularized search drops to "plain" for good
 
     meas = None
     space = None
@@ -395,86 +399,63 @@ def solve(problem: Problem, cfg: SolverConfig,
     for n in range(cfg.max_iters):
         t0 = time.perf_counter()
         j_n = problem.energy(state)
-        if not math.isfinite(j_n):
-            records.append(IterationRecord(n=n, energy=j_n))
-            reason = "energy_nonfinite"
-            break
-        r = problem.residual(state)
-        res_norm = problem.residual_l2h(r)
-
-        bases_updated = 0
+        rec = IterationRecord(n=n, energy=j_n)
+        records.append(rec)
         try:
-            op = problem.operator(state, mode)
-            if cfg.space == "coarse":
-                if space is None or cfg.sparse_update_threshold is None:
-                    space = _cached_basis(op, meas, mesh, layers)
-                    bases_updated = space.n_basis
-                else:
-                    incr = problem.state(state.u - prev_u)
-                    op_incr = problem.operator(incr, mode)
-                    ind = grps.update_indicators(op_incr, space)
-                    sel = np.flatnonzero(ind >= cfg.sparse_update_threshold)
-                    space = grps.refresh_basis(space, op, meas, mesh, sel)
-                    bases_updated = int(sel.size)
-                w = grps.coarse_solve(op, -r, space)
-            elif cfg.method == "quasinorm":
-                w, inner_ok = quasinorm_direction(problem, state, cfg, r=r)
-                if not inner_ok:
-                    reason = "inner_iteration_cap"
-            else:
-                w = search_direction(problem, state, cfg, op=op, r=r)
-        except sparsela.SolveError as exc:
-            records.append(IterationRecord(
-                n=n, energy=j_n, energy_error=err(j_n), residual_l2h=res_norm,
-                wall_time=time.perf_counter() - t0,
-            ))
-            reason = f"solver_failure: {exc}"
-            break
-        if not np.all(np.isfinite(w)):
-            records.append(IterationRecord(
-                n=n, energy=j_n, energy_error=err(j_n), residual_l2h=res_norm,
-                wall_time=time.perf_counter() - t0,
-            ))
-            reason = "solver_failure: non-finite direction"
-            break
-
-        c_tilde = math.nan
-        if cfg.estimate_cn and cfg.method in ("pgd", "newton"):
-            w0 = w if cfg.space == "fine" else sparsela.factorized_spd(op.matrix)(-r)
+            if not math.isfinite(j_n):
+                reason = "energy_nonfinite"
+                break
+            rec.energy_error = err(j_n)
+            r = problem.residual(state)
+            rec.residual_l2h = problem.residual_l2h(r)
             try:
-                c_tilde = estimate_cn(problem, state, w0, op)
-            except ValueError:
-                c_tilde = math.nan
+                op = problem.operator(state, mode)
+                if cfg.space == "coarse":
+                    if space is None or cfg.sparse_update_threshold is None:
+                        space = _cached_basis(op, meas, mesh, layers)
+                        rec.bases_updated = space.n_basis
+                    else:
+                        incr = problem.state(state.u - prev_u)
+                        op_incr = problem.operator(incr, mode)
+                        ind = grps.update_indicators(op_incr, space)
+                        sel = np.flatnonzero(ind >= cfg.sparse_update_threshold)
+                        space = grps.refresh_basis(space, op, meas, mesh, sel)
+                        rec.bases_updated = int(sel.size)
+                    w = grps.coarse_solve(op, -r, space)
+                elif cfg.method == "quasinorm":
+                    w, inner_ok = quasinorm_direction(problem, state, cfg, r=r)
+                    if not inner_ok:
+                        reason = "inner_iteration_cap"
+                else:
+                    w = search_direction(problem, state, cfg, op=op, r=r)
+                if not np.all(np.isfinite(w)):
+                    raise sparsela.SolveError("non-finite direction")
+            except sparsela.SolveError as exc:
+                reason = f"solver_failure: {exc}"
+                break
 
-        current_ls = cfg.line_search
-        if current_ls == "residual_regularized" and not reg_active:
-            current_ls = "plain"
-        try:
-            alpha, rho, lam = line_search(problem, state, w, cfg, mode=current_ls, r=r)
-        except LineSearchError as exc:
-            records.append(IterationRecord(
-                n=n, energy=j_n, energy_error=err(j_n), residual_l2h=res_norm,
-                c_tilde=c_tilde, bases_updated=bases_updated,
-                wall_time=time.perf_counter() - t0,
-            ))
-            g0 = float(r @ w)
-            if abs(g0) <= 1e-12 * max(abs(j_n), 1.0):
-                converged = True
-                reason = "stationary"
-            else:
-                reason = f"line_search_failure: {exc}"
-            break
+            if cfg.estimate_cn and cfg.method in ("pgd", "newton"):
+                w0 = w if cfg.space == "fine" else sparsela.factorized_spd(op.matrix)(-r)
+                with contextlib.suppress(ValueError):     # c_tilde stays nan
+                    rec.c_tilde = estimate_cn(problem, state, w0, op)
 
-        if current_ls == "residual_regularized" and rho <= cfg.delta:
-            reg_active = False
+            try:
+                rec.alpha, rec.rho, rec.lam = line_search(
+                    problem, state, w, cfg, mode=ls_mode, r=r)
+            except LineSearchError as exc:
+                if abs(float(r @ w)) <= 1e-12 * max(abs(j_n), 1.0):
+                    converged = True
+                    reason = "stationary"
+                else:
+                    reason = f"line_search_failure: {exc}"
+                break
+            if ls_mode == "residual_regularized" and rec.rho <= cfg.delta:
+                ls_mode = "plain"
 
-        new_state = problem.stepped(state, alpha, w)
-        j_next = problem.energy(new_state)
-        records.append(IterationRecord(
-            n=n, energy=j_n, energy_error=err(j_n), residual_l2h=res_norm,
-            alpha=alpha, rho=rho, lam=lam, c_tilde=c_tilde,
-            bases_updated=bases_updated, wall_time=time.perf_counter() - t0,
-        ))
+            new_state = problem.stepped(state, rec.alpha, w)
+            j_next = problem.energy(new_state)
+        finally:
+            rec.wall_time = time.perf_counter() - t0
         prev_u = state.u
         state = new_state
 
@@ -484,10 +465,9 @@ def solve(problem: Problem, cfg: SolverConfig,
             break
 
     j_final = problem.energy(state)
-    r_final = problem.residual(state)
     records.append(IterationRecord(
-        n=records[-1].n + 1 if records else 0, energy=j_final,
-        energy_error=err(j_final), residual_l2h=problem.residual_l2h(r_final),
+        n=len(records), energy=j_final, energy_error=err(j_final),
+        residual_l2h=problem.residual_l2h(problem.residual(state)),
     ))
     return SolveReport(records=records, state=state, converged=converged,
                        reason=reason)

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from quasihom.cli import (
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_parse_config_defaults_and_overrides(tmp_path):
@@ -165,3 +168,27 @@ def test_csv_17_digit_format(tmp_path):
     cli.write_csv(table, tmp_path / "t.csv")
     text = (tmp_path / "t.csv").read_text()
     assert "0.33333333333333331" in text
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--solver.delta_i", "abc"],
+    ["solve", "--nfunc.p", "2.015625"],         # eps_minus underflows to 0
+    ["homogenization-error", "--hom.nc_list", "4,x"],
+], ids=["delta_i", "nfunc_p", "nc_list"])
+def test_main_bad_value_exit_code(tmp_path, args):
+    rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),
+               "--out", str(tmp_path)])
+    assert rc == cli.EXIT_CONFIG
+
+
+def test_import_loads_no_scipy_integrate_or_optimize():
+    import quasihom
+    src = os.path.dirname(os.path.dirname(quasihom.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import quasihom.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith(('scipy.integrate', 'scipy.optimize'))))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

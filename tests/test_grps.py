@@ -12,12 +12,12 @@ from quasihom.grps import (
     load_cache,
     refresh_basis,
     save_cache,
-    update_indicator,
     update_indicators,
 )
 from quasihom.mesh import build_coarse_mesh, build_patch, refine
 
 from conftest import make_problem, random_state
+from oracles import update_indicator
 
 
 def _p2_operator(pr):

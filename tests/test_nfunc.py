@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from quasihom import nfunc
 from quasihom.nfunc import NFunction
+
+from oracles import eval_shifted
 
 
 def test_power_p2():
@@ -41,6 +45,13 @@ def test_invalid_parameters():
         NFunction("reg_c1", 3.0, eps_minus=0.0)
     with pytest.raises(ValueError):
         NFunction("reg_c1", 3.0, eps_minus=2.0, eps_plus=1.0)
+
+
+@pytest.mark.parametrize("p, what", [(2.015625, "underflows"), (1.99, "overflows")])
+def test_from_eps_pow_unrepresentable_eps_minus(p, what):
+    # 1e-6 ** 64 underflows to 0.0 and 1e-6 ** -100 overflows
+    with pytest.raises(ValueError, match=f"{what}.*p = {p}, eps_minus_pow = 1e-06"):
+        NFunction.from_eps_pow("reg_c1", p, 1e-6)
 
 
 def _branch_gaps(nf, t0):
@@ -149,7 +160,7 @@ def _simpson(f, a, b, n=2000):
 
 def test_shifted_zero_shift_exact():
     nf = NFunction("power", 3.0)
-    phi_a, dphi_a = nfunc.eval_shifted(nf, 0.0, 1.7)
+    phi_a, dphi_a = eval_shifted(nf, 0.0, 1.7)
     phi, dphi, _ = nfunc.eval(nf, 1.7)
     assert phi_a == phi
     assert dphi_a == dphi
@@ -158,7 +169,7 @@ def test_shifted_zero_shift_exact():
 def test_shifted_p2_is_quadratic():
     nf = NFunction("power", 2.0)
     for a in (0.0, 0.5, 2.0):
-        phi_a, dphi_a = nfunc.eval_shifted(nf, a, 1.2)
+        phi_a, dphi_a = eval_shifted(nf, a, 1.2)
         assert dphi_a == pytest.approx(1.2, rel=1e-12)
         assert phi_a == pytest.approx(1.2 ** 2 / 2, rel=1e-9)
 
@@ -166,7 +177,7 @@ def test_shifted_p2_is_quadratic():
 def test_shifted_p4_against_simpson():
     nf = NFunction("power", 4.0)
     a, t = 1.0, 0.5
-    phi_a, dphi_a = nfunc.eval_shifted(nf, a, t)
+    phi_a, dphi_a = eval_shifted(nf, a, t)
     assert dphi_a == pytest.approx(0.5, rel=1e-12)
 
     def integrand(s):
@@ -175,3 +186,69 @@ def test_shifted_p4_against_simpson():
 
     oracle = _simpson(integrand, 0.0, t)
     assert phi_a == pytest.approx(oracle, rel=1e-9)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(lo, hi).map(lambda e: 10.0 ** e)
+
+
+exponents = st.floats(1.5, 10.0)
+n_functions = st.one_of(
+    st.builds(NFunction, st.just("power"), exponents),
+    st.builds(
+        lambda kind, p, em, ratio: NFunction(kind, p, em, em * ratio),
+        st.sampled_from(["reg_c1", "reg_c2"]), exponents, _log_uniform(-3, 0),
+        st.one_of(st.just(math.inf), _log_uniform(0.3, 2)),
+    ),
+)
+
+
+def _central_difference_matches(f, t, h, d):
+    """(f(t+h) - f(t-h)) / 2h against d, up to truncation and the rounding
+    of f itself (the regularized phi carries an offset of size eps_minus^p)."""
+    above, below = f(t + h), f(t - h)
+    fd = (above - below) / (2.0 * h)
+    noise = 1e-13 * max(abs(above), abs(below)) / h
+    return abs(fd - d) <= 1e-6 * abs(d) + noise
+
+
+@given(nf=n_functions, t=_log_uniform(-4, 3))
+def test_derivatives_match_central_differences(nf, t):
+    h = 1e-6 * t
+    for bp in (nf.eps_minus, nf.eps_plus):
+        assume(nf.kind == "power" or abs(t - bp) > 10.0 * h)
+    phi, dphi, ddphi = nfunc.eval(nf, t)
+    assert _central_difference_matches(lambda s: nfunc.eval(nf, s)[0], t, h, dphi)
+    assert _central_difference_matches(lambda s: nfunc.eval(nf, s)[1], t, h, ddphi)
+
+
+@given(nf=n_functions, t=_log_uniform(-4, 3))
+def test_secant_times_t_is_first_derivative(nf, t):
+    dphi = nfunc.eval(nf, t)[1]
+    assert nfunc.eval_secant(nf, t) * t == pytest.approx(dphi, rel=1e-14)
+
+
+@given(nf=n_functions, t=_log_uniform(-4, 3))
+def test_values_and_derivatives_nonnegative(nf, t):
+    phi, dphi, ddphi = nfunc.eval(nf, t)
+    assert dphi >= 0.0
+    assert ddphi >= 0.0
+    # phi equals t^p / p from eps_minus up, so for p > 2 the regularized
+    # kinds dip below 0 near the origin: phi(0) = (1/p - 1/2) eps_minus^p
+    # (reg_c1); phi is still nondecreasing from phi(0)
+    assert phi >= nfunc.eval(nf, 0.0)[0]
+    if nf.kind == "power" or nf.p <= 2.0 or t >= nf.eps_minus:
+        assert phi >= 0.0
+
+
+@given(p=exponents.filter(lambda p: p != 2.0), log_pow=st.floats(-300.0, 300.0))
+def test_from_eps_pow_raises_where_eps_minus_unrepresentable(p, log_pow):
+    log_em = log_pow / (p - 2.0)       # log10 of eps_minus
+    assume(not -330.0 <= log_em <= -300.0 and not 300.0 <= log_em <= 310.0)
+    if -300.0 < log_em < 300.0:
+        nf = NFunction.from_eps_pow("reg_c1", p, 10.0 ** log_pow)
+        assert 0.0 < nf.eps_minus < math.inf
+    else:
+        what = "underflows" if log_em < 0 else "overflows"
+        with pytest.raises(ValueError, match=what):
+            NFunction.from_eps_pow("reg_c1", p, 10.0 ** log_pow)

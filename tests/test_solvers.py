@@ -7,6 +7,7 @@ from quasihom import coeff, fem, nfunc, solvers, sparsela
 from quasihom.solvers import LineSearchError, SolverConfig
 
 from conftest import make_problem, random_state
+from oracles import quasi_norm
 
 
 def test_config_validation():
@@ -216,7 +217,7 @@ def test_quasinorm_step_inequality(rng):
         drop = pr.energy(st) - pr.energy(new)
         # the line-searched drop dominates the unit-step bound for the
         # implicit direction; 10% slack absorbs inner-solve inexactness
-        qn = fem.quasi_norm(st, pr.expand(w), pr.kappa, pr.nf)
+        qn = quasi_norm(st, pr.expand(w), pr.kappa, pr.nf)
         noise = 1e-13 * abs(pr.energy(st))
         assert drop >= 0.9 * qn - noise
         st = new
@@ -295,3 +296,59 @@ def test_quasihom_cache_roundtrip(tmp_path, monkeypatch):
     rep2 = solvers.solve(pr, cfg)
     assert np.array_equal(rep1.state.u, rep2.state.u)
     assert rep1.final_energy == rep2.final_energy
+
+
+def _failing_record(rep):
+    """The one record of the iteration that stopped the solve."""
+    assert len(rep.records) == 2
+    assert rep.records[1].n == 1
+    rec = rep.records[0]
+    assert rec.wall_time > 0
+    return rec
+
+
+def test_solve_energy_nonfinite_exit():
+    pr = make_problem(3, 2, p=5.0, kind="mstrig")
+    u0 = np.zeros(pr.mesh.n_vertices)
+    u0[pr.mesh.free_nodes[0]] = np.nan
+    rep = solvers.solve(pr, SolverConfig(max_iters=5), u0=u0)
+    assert rep.reason == "energy_nonfinite"
+    assert not rep.converged
+    assert math.isnan(_failing_record(rep).energy)
+
+
+def test_solve_solver_failure_exit():
+    # too few interior nodes per constraint for global bases on a 2x1 mesh
+    pr = make_problem(2, 1, p=2.0)
+    rep = solvers.solve(pr, SolverConfig(space="coarse", global_basis=True))
+    assert rep.reason.startswith("solver_failure: ")
+    rec = _failing_record(rep)
+    assert rec.energy == pr.energy(solvers.poisson_initial(pr))
+    assert rec.bases_updated == 0
+
+
+def test_solve_coarse_solve_failure_counts_built_bases(monkeypatch):
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+
+    def singular(*args, **kwargs):
+        raise sparsela.RankDeficiencyError("singular coarse matrix")
+
+    monkeypatch.setattr(solvers.grps, "coarse_solve", singular)
+    rep = solvers.solve(pr, SolverConfig(space="coarse", global_basis=True))
+    assert rep.reason == "solver_failure: singular coarse matrix"
+    assert _failing_record(rep).bases_updated == pr.mesh.n_coarse_triangles
+
+
+def test_solve_line_search_failure_exit(monkeypatch):
+    pr = make_problem(3, 2, p=5.0, kind="mstrig")
+
+    def no_decrease(*args, **kwargs):
+        raise LineSearchError("no decrease along direction")
+
+    monkeypatch.setattr(solvers, "line_search", no_decrease)
+    rep = solvers.solve(pr, SolverConfig(max_iters=5))
+    assert rep.reason == "line_search_failure: no decrease along direction"
+    assert not rep.converged
+    rec = _failing_record(rep)
+    assert math.isfinite(rec.energy) and math.isfinite(rec.c_tilde)
+    assert math.isnan(rec.alpha)
