@@ -10,9 +10,7 @@ element-block entry, so an assembly is one ``np.bincount`` over those slots.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,17 +50,6 @@ class FemState:
     def grad_norms(self) -> np.ndarray:
         g = self.grads()
         return np.hypot(g[:, 0], g[:, 1])
-
-
-@dataclass
-class LinearizedOperator:
-    mode: str
-    matrix: sp.csr_matrix          # over free nodes
-    free_pos: np.ndarray           # global -> free position (-1 on boundary)
-    fingerprint: str
-
-    def quadratic_form(self, w_free: np.ndarray) -> float:
-        return float(w_free @ (self.matrix @ w_free))
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
@@ -145,16 +132,9 @@ def residual(state: FemState, coeffs: ElementCoefficients, nf: nfunc.NFunction,
     return (r - load)[mesh.free_nodes]
 
 
-def _operator_fingerprint(mode: str, nf: nfunc.NFunction, weights: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(repr((mode, nf.params_key())).encode())
-    h.update(np.ascontiguousarray(weights, dtype=float).tobytes())
-    return h.hexdigest()[:16]
-
-
 def assemble_linearized(state: FemState, coeffs: ElementCoefficients,
-                        nf: nfunc.NFunction, mode: str) -> LinearizedOperator:
-    """Linearized operator at the current state.
+                        nf: nfunc.NFunction, mode: str) -> sp.csr_matrix:
+    """Linearized operator over the free nodes at the current state.
 
     gd: plain (coefficient-free) Laplacian. pgd: secant-weighted elliptic
     operator. newton: pgd plus the gradient-aligned rank-one correction of
@@ -167,12 +147,10 @@ def assemble_linearized(state: FemState, coeffs: ElementCoefficients,
 
     if mode == "gd":
         blocks = _stiffness_blocks(mesh, areas)
-        fp_w = np.ones_like(areas)
     else:
         s = state.grad_norms()
         sec = nfunc.eval_secant(nf, s)
         blocks = _stiffness_blocks(mesh, areas * coeffs.values * sec)
-        fp_w = coeffs.values * sec
         if mode == "newton":
             _, dphi, ddphi = nfunc.eval(nf, s)
             safe = np.where(s > 0, s, 1.0)
@@ -182,14 +160,8 @@ def assemble_linearized(state: FemState, coeffs: ElementCoefficients,
             blocks += (areas * coeffs.values * c)[:, None, None] * (
                 d[:, :, None] * d[:, None, :]
             )
-            fp_w = np.column_stack([fp_w, coeffs.values * c])
 
-    return LinearizedOperator(
-        mode=mode,
-        matrix=_assemble(mesh, blocks),
-        free_pos=mesh.free_pos,
-        fingerprint=_operator_fingerprint(mode, nf, fp_w),
-    )
+    return _assemble(mesh, blocks)
 
 
 def residual_l2h_norm(r: np.ndarray, mass_solve) -> float:

@@ -110,11 +110,6 @@ class Mesh:
             )
         return self._cache["ntc"]
 
-    def fingerprint(self) -> str:
-        if self.is_structured:
-            return f"s{self.ncx}x{self.ncy}L{self.level}_{self.lx!r}_{self.ly!r}"
-        return f"u{self.n_vertices}_{self.n_triangles}"
-
 
 @dataclass
 class Patch:

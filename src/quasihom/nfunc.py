@@ -6,6 +6,15 @@ is globally C^1 (second derivative jumps at the breakpoints), ``reg_c2`` is
 globally C^2 (the outer pieces are second-order Taylor extensions of the
 power law at the breakpoints). With eps_plus = inf only the lower
 regularization is active, which is the solver default for p >= 2.
+
+The lower pieces are shifted so that phi equals t^p / p above eps_minus, which
+leaves phi(0) = (1/p - 1/2) eps_minus^p for ``reg_c1`` and
+-(p-2) / (p (p+2)) eps_minus^p for ``reg_c2``: negative for p > 2, where an
+N-function has phi(0) = 0. The energy J therefore carries the constant offset
+phi(0) * int kappa. It moves no direction or step in exact arithmetic, but it
+is part of every reported energy and of the relative energy decrease that
+the stopping test divides by, and the benchmark's recorded energies include
+it, so it is not shifted away here.
 """
 
 from __future__ import annotations
@@ -54,9 +63,6 @@ class NFunction:
                     f"for p = {p!r}, eps_minus_pow = {eps_minus_pow!r}"
                 )
         return NFunction(kind=kind, p=p, eps_minus=em, eps_plus=eps_plus)
-
-    def params_key(self) -> tuple:
-        return (self.kind, self.p, self.eps_minus, self.eps_plus)
 
 
 def _power_eval(t, p):

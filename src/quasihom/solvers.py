@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem, grps, nfunc, sparsela
 from .coeff import ElementCoefficients
@@ -126,7 +126,7 @@ class Problem:
     def residual(self, state: fem.FemState) -> np.ndarray:
         return fem.residual(state, self.kappa, self.nf, self.load)
 
-    def operator(self, state: fem.FemState, mode: str) -> fem.LinearizedOperator:
+    def operator(self, state: fem.FemState, mode: str) -> sp.csr_matrix:
         return fem.assemble_linearized(state, self.kappa, self.nf, mode)
 
     def residual_l2h(self, r: np.ndarray) -> float:
@@ -155,14 +155,14 @@ def _operator_mode(method: str) -> str:
 
 
 def search_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig,
-                     op: fem.LinearizedOperator | None = None,
+                     op: sp.csr_matrix | None = None,
                      r: np.ndarray | None = None) -> np.ndarray:
     """Fine-space direction: solve A[u] w = -J'(u) over free nodes."""
     if r is None:
         r = problem.residual(state)
     if op is None:
         op = problem.operator(state, _operator_mode(cfg.method))
-    return sparsela.factorized_spd(op.matrix)(-r)
+    return sparsela.factorized_spd(op)(-r)
 
 
 def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig,
@@ -307,12 +307,12 @@ def line_search(problem: Problem, state: fem.FemState, w_free: np.ndarray,
 
 
 def estimate_cn(problem: Problem, state: fem.FemState, w0_free: np.ndarray,
-                op: fem.LinearizedOperator) -> float:
+                op: sp.csr_matrix) -> float:
     """Scaling constant matching the operator energy of the fine direction to
     its quasi-norm: the unique root c of
     c * A(w0, w0) = int kappa phi''(|grad u| + |grad w0| / c) |grad w0|^2.
     """
-    lhs_unit = op.quadratic_form(w0_free)
+    lhs_unit = float(w0_free @ (op @ w0_free))
     if lhs_unit <= 0:
         raise ValueError("direction has no operator energy")
     mesh = problem.mesh
@@ -343,23 +343,6 @@ def estimate_cn(problem: Problem, state: fem.FemState, w0_free: np.ndarray,
         if (lhi - llo) <= 1e-8:
             break
     return math.exp(0.5 * (llo + lhi))
-
-
-def _cached_basis(op, meas, mesh, layers):
-    """Full basis build, going through the QUASIHOM_CACHE directory if set."""
-    mesh_fp = mesh.fingerprint()
-    path = grps.cache_path(mesh_fp, op.fingerprint, layers)
-    if path is not None:
-        cached = grps.load_cache(path, mesh_fp)
-        if cached is not None and cached.built_from == op.fingerprint \
-                and cached.layers == layers \
-                and cached.basis.shape == (meas.n_coarse, op.matrix.shape[0]):
-            return cached
-    space = grps.compute_basis(op, meas, mesh, layers=layers)
-    if path is not None:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        grps.save_cache(space, mesh_fp, path)
-    return space
 
 
 def solve(problem: Problem, cfg: SolverConfig,
@@ -412,7 +395,7 @@ def solve(problem: Problem, cfg: SolverConfig,
                 op = problem.operator(state, mode)
                 if cfg.space == "coarse":
                     if space is None or cfg.sparse_update_threshold is None:
-                        space = _cached_basis(op, meas, mesh, layers)
+                        space = grps.compute_basis(op, meas, mesh, layers=layers)
                         rec.bases_updated = space.n_basis
                     else:
                         incr = problem.state(state.u - prev_u)
@@ -435,7 +418,7 @@ def solve(problem: Problem, cfg: SolverConfig,
                 break
 
             if cfg.estimate_cn and cfg.method in ("pgd", "newton"):
-                w0 = w if cfg.space == "fine" else sparsela.factorized_spd(op.matrix)(-r)
+                w0 = w if cfg.space == "fine" else sparsela.factorized_spd(op)(-r)
                 with contextlib.suppress(ValueError):     # c_tilde stays nan
                     rec.c_tilde = estimate_cn(problem, state, w0, op)
 

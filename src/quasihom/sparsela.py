@@ -49,8 +49,12 @@ class SaddleSystem:
     rhs_constraint: np.ndarray
 
 
-def solve_saddle(system: SaddleSystem, tol: float = 1e-10):
-    """Minimize 1/2 x'Ax - f'x subject to Bx = g; returns (x, multipliers)."""
+def solve_saddle(system: SaddleSystem):
+    """Minimize 1/2 x'Ax - f'x subject to Bx = g; returns (x, multipliers).
+
+    Raises ConvergenceError when either block's residual exceeds
+    1e-8 * (1 + |rhs|).
+    """
     a = sp.csr_matrix(system.a)
     b = sp.csr_matrix(system.b)
     f = np.asarray(system.rhs_primal, dtype=float)
@@ -79,7 +83,7 @@ def solve_saddle(system: SaddleSystem, tol: float = 1e-10):
     scale = 1.0 + np.linalg.norm(rhs)
     res_primal = np.linalg.norm(a @ x + b.T @ lam - f)
     res_constraint = np.linalg.norm(b @ x - g)
-    if max(res_primal, res_constraint) > max(tol, 1e-8) * scale:
+    if max(res_primal, res_constraint) > 1e-8 * scale:
         raise ConvergenceError(
             "KKT residual too large", max(res_primal, res_constraint) / scale
         )

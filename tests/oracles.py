@@ -9,6 +9,7 @@ be compared with them.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import quad
 
 from quasihom import fem, nfunc
@@ -56,6 +57,6 @@ def bregman(state_u: FemState, state_v: FemState, coeffs: ElementCoefficients,
     return ju - jv - float(rv @ diff)
 
 
-def update_indicator(op_incr: fem.LinearizedOperator, basis_vec: np.ndarray) -> float:
+def update_indicator(op_incr: sp.csr_matrix, basis_vec: np.ndarray) -> float:
     """Energy of one basis in the operator linearized at the last increment."""
-    return float(basis_vec @ (op_incr.matrix @ basis_vec))
+    return float(basis_vec @ (op_incr @ basis_vec))

@@ -89,15 +89,23 @@ def test_solve_p2_writes_two_row_csv(tmp_path):
 
 
 def test_compare_methods_gd_worst(tmp_path):
-    rc = main([
-        "compare-methods", "--out", str(tmp_path),
-        "--nfunc.p", "5", "--coeff.kind", "mstrig",
-        "--mesh.nc_x", "4", "--mesh.nc_y", "4",
-        "--compare.max_iters", "12",
-    ])
-    assert rc == 0
+    def run(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        rc = main([
+            "compare-methods", "--out", str(out), "--jobs", str(jobs),
+            "--nfunc.p", "5", "--coeff.kind", "mstrig",
+            "--mesh.nc_x", "4", "--mesh.nc_y", "4",
+            "--compare.max_iters", "12",
+        ])
+        assert rc == 0
+        return out
+
+    out = run(1)
+    # the threads share one Problem and its mesh; the result must not depend on it
+    summary = (out / "summary.csv").read_bytes()
+    assert (run(2) / "summary.csv").read_bytes() == summary
     lines = [
-        ln for ln in (tmp_path / "summary.csv").read_text().splitlines()
+        ln for ln in summary.decode().splitlines()
         if ln and not ln.startswith("#")
     ]
     header = lines[0].split(",")
@@ -110,8 +118,8 @@ def test_compare_methods_gd_worst(tmp_path):
     others = [final[c] for c in header if c.startswith("err_") and c != "err_gd"]
     assert all(final["err_gd"] >= e for e in others)
     for m in ("gd", "pgd", "newton", "quasinorm"):
-        assert (tmp_path / f"iterations_{m}.csv").exists()
-    assert (tmp_path / "energy_error.svg").exists()
+        assert (out / f"iterations_{m}.csv").exists()
+    assert (out / "energy_error.svg").exists()
 
 
 def test_sparse_update_study_monotone(tmp_path):
@@ -192,3 +200,17 @@ def test_import_loads_no_scipy_integrate_or_optimize():
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_module_entry_point_runs_without_warnings(tmp_path):
+    import quasihom
+    src = os.path.dirname(os.path.dirname(quasihom.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "quasihom.cli", "solve",
+         "--out", str(tmp_path), "--mesh.nc_x", "2", "--mesh.nc_y", "2",
+         "--mesh.refine", "1"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr

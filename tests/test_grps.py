@@ -9,9 +9,7 @@ from quasihom.grps import (
     compute_basis,
     coarse_solve,
     interpolate,
-    load_cache,
     refresh_basis,
-    save_cache,
     update_indicators,
 )
 from quasihom.mesh import build_coarse_mesh, build_patch, refine
@@ -76,7 +74,7 @@ def test_global_basis_matches_dense_kkt():
     op = _p2_operator(pr)
     meas = build_measurements(pr.mesh)
     space = compute_basis(op, meas, pr.mesh, layers=None)
-    a = op.matrix.toarray()
+    a = op.toarray()
     b = meas.matrix.toarray()
     n, m = a.shape[0], b.shape[0]
     kkt = np.block([[a, b.T], [b, np.zeros((m, m))]])
@@ -95,7 +93,7 @@ def test_localized_support():
     space = compute_basis(op, meas, m, layers=1)
     for i in range(meas.n_coarse):
         patch = build_patch(m, i, 1)
-        allowed = set(op.free_pos[patch.interior_fine_nodes].tolist())
+        allowed = set(m.free_pos[patch.interior_fine_nodes].tolist())
         support = set(space.basis[i].nonzero()[1].tolist())
         assert support <= allowed
 
@@ -136,10 +134,9 @@ def test_interpolate_zero_measurements():
 
 def test_optimal_recovery_identity(rng):
     pr = make_problem(4, 2, p=2.0, kind="mstrig")
-    op = _p2_operator(pr)
+    a = _p2_operator(pr)
     meas = build_measurements(pr.mesh)
-    space = compute_basis(op, meas, pr.mesh, layers=None)
-    a = op.matrix
+    space = compute_basis(a, meas, pr.mesh, layers=None)
     for _ in range(10):
         w = rng.standard_normal(pr.mesh.free_nodes.size)
         w_i = interpolate(w, space, meas)
@@ -164,12 +161,11 @@ def test_coarse_solve_identity_basis_reproduces_fine(rng):
     n = pr.mesh.free_nodes.size
     space = CoarseSpace(
         basis=sp.eye(n, format="csr"), layers=None,
-        patches=[None] * n, built_from=op.fingerprint,
-        stale=np.zeros(n, dtype=bool),
+        patches=[None] * n,
     )
     rhs = rng.standard_normal(n)
     out = coarse_solve(op, rhs, space)
-    fine = np.linalg.solve(op.matrix.toarray(), rhs)
+    fine = np.linalg.solve(op.toarray(), rhs)
     assert np.allclose(out, fine, atol=1e-9)
 
 
@@ -178,7 +174,7 @@ def test_coarse_stiffness_spd():
     op = _p2_operator(pr)
     meas = build_measurements(pr.mesh)
     space = compute_basis(op, meas, pr.mesh, layers=2)
-    a_c = (space.basis @ op.matrix @ space.basis.T).toarray()
+    a_c = (space.basis @ op @ space.basis.T).toarray()
     assert np.allclose(a_c, a_c.T, atol=1e-12)
     assert np.linalg.eigvalsh(a_c).min() > 0
 
@@ -266,42 +262,8 @@ def test_refresh_keeps_unselected(rng):
     space0 = compute_basis(op0, meas, pr.mesh, layers=2)
     op1 = pr.operator(random_state(pr, rng), "pgd")
     space1 = refresh_basis(space0, op1, meas, pr.mesh, indices=[0, 1])
-    assert not space1.stale[0] and not space1.stale[1]
-    assert space1.stale[2:].all()
     assert np.array_equal(space1.basis[5].toarray(), space0.basis[5].toarray())
     assert not np.array_equal(space1.basis[0].toarray(), space0.basis[0].toarray())
-
-
-def test_cache_roundtrip_bit_identical(tmp_path):
-    pr = make_problem(2, 2, p=2.0, kind="mstrig")
-    op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
-    space = compute_basis(op, meas, pr.mesh, layers=2)
-    path = tmp_path / "basis.npz"
-    save_cache(space, "meshfp", path)
-    loaded = load_cache(path, "meshfp")
-    assert loaded is not None
-    assert loaded.built_from == space.built_from
-    assert loaded.layers == space.layers
-    a, b = space.basis.tocsr(), loaded.basis.tocsr()
-    assert np.array_equal(a.data, b.data)
-    assert np.array_equal(a.indices, b.indices)
-    assert np.array_equal(a.indptr, b.indptr)
-    assert load_cache(path, "wrong") is None
-    assert load_cache(tmp_path / "missing.npz", "meshfp") is None
-
-
-def test_cache_truncated_file_is_a_miss(tmp_path):
-    pr = make_problem(2, 2, p=2.0, kind="mstrig")
-    op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
-    space = compute_basis(op, meas, pr.mesh, layers=2)
-    path = tmp_path / "basis.npz"
-    save_cache(space, "meshfp", path)
-    assert [f.name for f in tmp_path.iterdir()] == ["basis.npz"]
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-    assert load_cache(path, "meshfp") is None
 
 
 def test_refresh_reuses_held_patches(monkeypatch):
