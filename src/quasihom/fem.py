@@ -6,6 +6,10 @@ element constants); the load pairs vertex-interpolated f through the
 consistent mass matrix. Every operator over the free nodes goes through one
 kernel: a per-mesh plan fixes the free-free CSR pattern and the slot of each
 element-block entry, so an assembly is one ``np.bincount`` over those slots.
+Element gradients come from a second per-mesh matrix, the gradient operator:
+rows 2t and 2t + 1 hold the x and y hat gradients of triangle t in its
+vertex order, so ``G @ u`` sums each component in the order of the plain
+per-element gather and gives the same values.
 """
 
 from __future__ import annotations
@@ -40,11 +44,7 @@ class FemState:
     def grads(self) -> np.ndarray:
         """(nt, 2) array of element gradients of u."""
         if self._grads is None:
-            _, gx, gy, _ = self.mesh.geometry()
-            ut = self.u[self.mesh.triangles]
-            self._grads = np.stack(
-                [(gx * ut).sum(axis=1), (gy * ut).sum(axis=1)], axis=1
-            )
+            self._grads = (_gradient_operator(self.mesh) @ self.u).reshape(-1, 2)
         return self._grads
 
     def grad_norms(self) -> np.ndarray:
@@ -83,6 +83,20 @@ def _assembly_plan(mesh: Mesh):
         slots[keep] = inv
         mesh._cache["asm_plan"] = (indptr, keys % n, slots)
     return mesh._cache["asm_plan"]
+
+
+def _gradient_operator(mesh: Mesh) -> sp.csr_matrix:
+    """(2 n_t, n_v) CSR matrix taking nodal values to interleaved element
+    gradients; each row keeps its triangle's vertex order (unsorted indices)."""
+    if "grad_op" not in mesh._cache:
+        _, gx, gy, _ = mesh.geometry()
+        nt = mesh.n_triangles
+        data = np.stack([gx, gy], axis=1).reshape(-1)
+        indices = np.repeat(mesh.triangles, 2, axis=0).reshape(-1)
+        indptr = np.arange(0, 6 * nt + 1, 3)
+        mesh._cache["grad_op"] = sp.csr_matrix(
+            (data, indices, indptr), shape=(2 * nt, mesh.n_vertices))
+    return mesh._cache["grad_op"]
 
 
 def _assemble(mesh: Mesh, blocks: np.ndarray) -> sp.csr_matrix:

@@ -60,6 +60,14 @@ class SolverConfig:
             raise ValueError(f"unknown line search {self.line_search!r}")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
+        if self.max_iters < 0:
+            raise ValueError("max_iters must be >= 0")
+        if self.inner_tol <= 0:
+            raise ValueError("inner_tol must be positive")
+        if self.inner_cap < 1:
+            raise ValueError("inner_cap must be >= 1")
+        if self.cq <= 0:
+            raise ValueError("cq must be positive")
         if not 0.5 < self.delta < 1.0:
             raise ValueError("delta must lie in (0.5, 1)")
         if self.method == "quasinorm" and self.space == "coarse":

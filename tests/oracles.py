@@ -3,7 +3,8 @@
 None of these is on a solver path: the shifted N-function, the quasi-norm,
 the Bregman distance and the scalar update indicator only state the paper's
 quantities in their plainest form, so that the vectorized library code can
-be compared with them.
+be compared with them. The per-element gradient gather is the plain form of
+the library's cached gradient operator.
 """
 
 from __future__ import annotations
@@ -34,6 +35,14 @@ def eval_shifted(nf: nfunc.NFunction, a: float, t: float) -> tuple[float, float]
 
     phi_a, _ = quad(integrand, 0.0, t, epsabs=1e-14, epsrel=1e-10, limit=200)
     return phi_a, dphi_a
+
+
+def element_gradients(mesh, u: np.ndarray) -> np.ndarray:
+    """(nt, 2) element gradients of u, gathered per element and summed over
+    its three vertices in vertex order."""
+    _, gx, gy, _ = mesh.geometry()
+    ut = u[mesh.triangles]
+    return np.stack([(gx * ut).sum(axis=1), (gy * ut).sum(axis=1)], axis=1)
 
 
 def quasi_norm(state: FemState, w: np.ndarray, coeffs: ElementCoefficients,

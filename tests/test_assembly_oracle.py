@@ -1,11 +1,15 @@
-"""Property tests of the assembly kernel against a dense per-element oracle."""
+"""Property tests of the assembly kernel against a dense per-element oracle,
+and of the gradient operator against the per-element gather."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasihom import coeff, fem, nfunc
+from quasihom import coeff, fem, nfunc, solvers
 from quasihom.mesh import build_coarse_mesh, refine
+
+from conftest import make_problem
+from oracles import element_gradients
 
 meshes = st.builds(
     lambda ncx, ncy, lx, ly, j: refine(build_coarse_mesh(ncx, ncy, lx, ly), j),
@@ -70,3 +74,46 @@ def test_linearized_operator_matches_dense_oracle(mesh, seed, p, mode):
 
     op = fem.assemble_linearized(fem.FemState(mesh, u), kappa, nf, mode)
     _check(op, _dense(mesh, element))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _free_values(mesh, seed):
+    u = np.zeros(mesh.n_vertices)
+    u[mesh.free_nodes] = np.random.default_rng(seed).standard_normal(mesh.free_nodes.size)
+    return u
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(mesh=meshes, seed=st.integers(0, 2 ** 32 - 1))
+def test_grads_bitwise_equal_to_gather(mesh, seed):
+    u = _free_values(mesh, seed)
+    g = fem.FemState(mesh, u).grads()
+    assert g.shape == (mesh.n_triangles, 2)
+    assert np.array_equal(_bits(g), _bits(element_gradients(mesh, u)))
+
+
+def test_grads_bitwise_equal_to_gather_full_scale():
+    # the fine mesh of configs/mstrig_fullscale.cfg: 16 x 16 cells, refine 3
+    mesh = refine(build_coarse_mesh(16, 16), 3)
+    u = _free_values(mesh, 5)
+    assert np.array_equal(_bits(fem.FemState(mesh, u).grads()),
+                          _bits(element_gradients(mesh, u)))
+
+
+def test_gradient_operator_unchanged_by_solve():
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    mesh = pr.mesh
+    u = _free_values(mesh, 3)
+    fem.FemState(mesh, u).grads()
+    op = fem._gradient_operator(mesh)
+    before = (op.data.copy(), op.indices.copy(), op.indptr.copy())
+    rep = solvers.solve(pr, solvers.SolverConfig(max_iters=5))
+    assert len(rep.records) > 1
+    assert fem._gradient_operator(mesh) is op
+    for a, b in zip(before, (op.data, op.indices, op.indptr)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(_bits(fem.FemState(mesh, u).grads()),
+                          _bits(element_gradients(mesh, u)))

@@ -182,7 +182,14 @@ def test_csv_17_digit_format(tmp_path):
     ["solve", "--solver.delta_i", "abc"],
     ["solve", "--nfunc.p", "2.015625"],         # eps_minus underflows to 0
     ["homogenization-error", "--hom.nc_list", "4,x"],
-], ids=["delta_i", "nfunc_p", "nc_list"])
+    ["solve", "--solver.method", "quasinorm", "--solver.space", "fine",
+     "--solver.inner_cap", "0"],
+    ["solve", "--solver.method", "quasinorm", "--solver.space", "fine",
+     "--solver.cq", "0"],
+    ["solve", "--solver.inner_tol", "0"],
+    ["solve", "--solver.max_iters", "-1"],
+], ids=["delta_i", "nfunc_p", "nc_list", "inner_cap", "cq", "inner_tol",
+        "max_iters"])
 def test_main_bad_value_exit_code(tmp_path, args):
     rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),
                "--out", str(tmp_path)])

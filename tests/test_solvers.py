@@ -19,7 +19,12 @@ def test_config_validation():
         SolverConfig(delta=0.4).validate()
     with pytest.raises(ValueError):
         SolverConfig(method="quasinorm", space="coarse").validate()
+    for bad in (dict(inner_cap=0), dict(cq=0.0), dict(cq=-1.0),
+                dict(inner_tol=0.0), dict(max_iters=-1)):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad).validate()
     SolverConfig().validate()
+    SolverConfig(max_iters=0, inner_cap=1).validate()
 
 
 def test_problem_rejects_wrong_kappa_size():
@@ -262,6 +267,18 @@ def test_solve_stationary_flag_vs_failure(rng):
     rep = solvers.solve(pr, SolverConfig())
     assert rep.converged
     assert rep.reason in ("stationary", "energy_decrease_below_tol")
+
+
+def test_quasinorm_inner_cap_zero_never_converges():
+    # a zero inner cap gives the zero direction, which the stationary exit
+    # would read as converged; the config is rejected before any iteration
+    pr = make_problem(3, 2, p=5.0, kind="mstrig")
+    cfg = SolverConfig(method="quasinorm", inner_cap=0)
+    w, ok = solvers.quasinorm_direction(pr, pr.state(), cfg)
+    assert not ok
+    assert not np.any(w)
+    with pytest.raises(ValueError, match="inner_cap"):
+        solvers.solve(pr, cfg)
 
 
 def test_coarse_plateau_shrinks_with_h():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from quasihom import coeff, fem, grps
+from quasihom.mesh import build_coarse_mesh, build_patch, refine
 from quasihom.sparsela import (
     ConvergenceError,
     RankDeficiencyError,
@@ -122,3 +124,62 @@ def test_more_constraints_than_unknowns():
     b = sp.csr_matrix(np.eye(3)[:, :2])
     with pytest.raises(RankDeficiencyError):
         solve_saddle(SaddleSystem(a, b, np.zeros(2), np.zeros(3)))
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def test_factorized_free_node_mass_matches_dense(rng):
+    mesh = refine(build_coarse_mesh(4, 3, 2.0, 1.5), 2)
+    free = mesh.free_nodes
+    mass = fem.assemble_mass(mesh)[free][:, free]
+    b = rng.standard_normal(free.size)
+    x = factorized_spd(mass)(b)
+    assert _rel(x, np.linalg.solve(mass.toarray(), b)) <= 1e-12
+
+
+def test_factorized_sparse_random_spd_matches_dense(rng):
+    n = 200
+    q = sp.random(n, n, density=0.02, random_state=np.random.default_rng(3))
+    a = (q @ q.T + sp.diags(rng.uniform(1.0, 2.0, n))).tocsr()
+    b = rng.standard_normal(n)
+    assert _rel(factorized_spd(a)(b), np.linalg.solve(a.toarray(), b)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 10, 50])
+def test_factorized_singular_neumann_laplacian_raises(n):
+    # 1-d Neumann Laplacian: constants span its kernel, and its integer
+    # entries make the last pivot exactly zero
+    ones = np.ones(n - 1)
+    lap = sp.diags([-ones, np.r_[1.0, 2.0 * ones[1:], 1.0], -ones], [-1, 0, 1])
+    with pytest.raises(RankDeficiencyError):
+        factorized_spd(lap)
+
+
+def test_saddle_high_contrast_patch_matches_dense():
+    # a localized basis problem: contrast-1e6 channel stiffness on a patch,
+    # constraint rows of entries about h^2, as in grps._solve_basis
+    mesh = refine(build_coarse_mesh(8, 8), 3)
+    field = coeff.synth_channels(64, 64, 3, 1e6, seed=1)
+    kappa = coeff.sample_on_mesh(field, mesh).values
+    op = fem.weighted_stiffness(mesh, kappa)
+    meas = grps.build_measurements(mesh)
+    checked = 0
+    for i in range(0, mesh.n_coarse_triangles, 9):
+        patch = build_patch(mesh, i, 1)
+        if kappa[patch.fine_elements].max() / kappa[patch.fine_elements].min() < 1e6:
+            continue
+        pos = mesh.free_pos[patch.interior_fine_nodes]
+        a = op[pos][:, pos].tocsr()
+        b = meas.matrix[patch.elements][:, pos].tocsr()
+        n, m = pos.size, patch.elements.size
+        g = np.zeros(m)
+        g[np.searchsorted(patch.elements, i)] = 1.0
+        x, lam = solve_saddle(SaddleSystem(a, b, np.zeros(n), g))
+        kkt = np.block([[a.toarray(), b.T.toarray()], [b.toarray(), np.zeros((m, m))]])
+        dense = np.linalg.solve(kkt, np.r_[np.zeros(n), g])
+        assert _rel(x, dense[:n]) <= 1e-10
+        assert _rel(lam, dense[n:]) <= 1e-10
+        checked += 1
+    assert checked >= 3
