@@ -13,7 +13,7 @@ import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,15 +23,6 @@ from .mesh import build_coarse_mesh, refine
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_SOLVER = 4
-
-EXPERIMENTS = (
-    "solve",
-    "compare-methods",
-    "homogenization-error",
-    "regularization-study",
-    "sparse-update-study",
-)
-
 
 class ConfigError(Exception):
     pass
@@ -53,11 +44,16 @@ def _parse_delta_i(s) -> float | None:
 
 def _list_of(conv):
     def parse(s) -> list:
-        return [conv(tok.strip()) for tok in str(s).split(",") if tok.strip()]
+        out = [conv(tok.strip()) for tok in str(s).split(",") if tok.strip()]
+        if not out:
+            raise ValueError("empty list")
+        return out
     return parse
 
 
-# key -> (converter, default); defaults go through the converter too
+# key -> (converter, default); defaults go through the converter too, and
+# the solver.* defaults are SolverConfig's own
+_DEFAULT = solvers.SolverConfig
 _SCHEMA: dict[str, tuple] = {
     "mesh.nc_x": (int, 8),
     "mesh.nc_y": (int, 8),
@@ -78,19 +74,20 @@ _SCHEMA: dict[str, tuple] = {
     "coeff.seed": (int, 7),
     "f.kind": (str, "sinpi"),
     "f.value": (float, 1.0),
-    "solver.method": (str, "newton"),
-    "solver.space": (str, "fine"),
-    "solver.tol": (float, 1e-15),
-    "solver.max_iters": (int, 100),
-    "solver.line_search": (str, "plain"),
-    "solver.delta": (float, 0.68),
-    "solver.delta_i": (_parse_delta_i, "0"),   # float or "full"
-    "solver.inner_tol": (float, 1e-12),
-    "solver.inner_cap": (int, 100),
+    "solver.method": (str, _DEFAULT.method),
+    "solver.space": (str, _DEFAULT.space),
+    "solver.tol": (float, _DEFAULT.tol),
+    "solver.max_iters": (int, _DEFAULT.max_iters),
+    "solver.line_search": (str, _DEFAULT.line_search),
+    "solver.delta": (float, _DEFAULT.delta),
+    # float or "full"
+    "solver.delta_i": (_parse_delta_i, _DEFAULT.sparse_update_threshold),
+    "solver.inner_tol": (float, _DEFAULT.inner_tol),
+    "solver.inner_cap": (int, _DEFAULT.inner_cap),
     "solver.ell": (int, -1),               # -1 = log(1/H) default
-    "solver.global_basis": (_parse_bool, "false"),
-    "solver.cq": (float, 2.0),
-    "solver.estimate_cn": (_parse_bool, "true"),
+    "solver.global_basis": (_parse_bool, _DEFAULT.global_basis),
+    "solver.cq": (float, _DEFAULT.cq),
+    "solver.estimate_cn": (_parse_bool, _DEFAULT.estimate_cn),
     "solver.u0": (str, "poisson"),         # poisson | zero | half_reference
     "solve.reference": (_parse_bool, "false"),
     "compare.methods": (_list_of(str), "gd,pgd,newton,quasinorm"),
@@ -103,15 +100,8 @@ _SCHEMA: dict[str, tuple] = {
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key: str):
-        return self.values[key]
-
-
-def parse_config(path: str | None, overrides: list[tuple[str, str]]) -> RunConfig:
+def parse_config(path: str | None, overrides: list[tuple[str, str]]) -> dict:
+    """Config values by key: the file's, then the overrides', then the defaults."""
     raw: dict[str, str] = {}
     if path:
         try:
@@ -140,10 +130,10 @@ def parse_config(path: str | None, overrides: list[tuple[str, str]]) -> RunConfi
             values[key] = conv(sval)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {sval!r} ({exc})") from exc
-    return RunConfig(values=values)
+    return values
 
 
-def build_field(cfg: RunConfig) -> coeff.CoefficientField:
+def build_field(cfg: dict) -> coeff.CoefficientField:
     kind = cfg["coeff.kind"]
     extent = (0.0, cfg["mesh.lx"], 0.0, cfg["mesh.ly"])
     if kind == "constant":
@@ -166,7 +156,7 @@ def build_field(cfg: RunConfig) -> coeff.CoefficientField:
     raise ConfigError(f"unknown coefficient kind {kind!r}")
 
 
-def build_nfunction(cfg: RunConfig, eps_minus_pow: float | None = None) -> nfunc.NFunction:
+def build_nfunction(cfg: dict, eps_minus_pow: float | None = None) -> nfunc.NFunction:
     kind = cfg["nfunc.kind"]
     p = cfg["nfunc.p"]
     if kind == "power":
@@ -178,7 +168,7 @@ def build_nfunction(cfg: RunConfig, eps_minus_pow: float | None = None) -> nfunc
     )
 
 
-def build_source(cfg: RunConfig, mesh) -> np.ndarray:
+def build_source(cfg: dict, mesh) -> np.ndarray:
     kind = cfg["f.kind"]
     x, y = mesh.vertices[:, 0], mesh.vertices[:, 1]
     if kind == "sinpi":
@@ -190,7 +180,7 @@ def build_source(cfg: RunConfig, mesh) -> np.ndarray:
     raise ConfigError(f"unknown source kind {kind!r}")
 
 
-def build_problem(cfg: RunConfig, nc_x=None, nc_y=None, level=None,
+def build_problem(cfg: dict, nc_x=None, nc_y=None, level=None,
                   eps_minus_pow=None) -> solvers.Problem:
     try:
         mesh = refine(
@@ -207,7 +197,7 @@ def build_problem(cfg: RunConfig, nc_x=None, nc_y=None, level=None,
     return solvers.Problem(mesh, kappa, nf, build_source(cfg, mesh))
 
 
-def solver_config(cfg: RunConfig, **overrides) -> solvers.SolverConfig:
+def solver_config(cfg: dict, **overrides) -> solvers.SolverConfig:
     kwargs = dict(
         method=cfg["solver.method"],
         space=cfg["solver.space"],
@@ -259,13 +249,10 @@ def write_csv(table: ResultTable, path) -> None:
 
 
 def iteration_table(report: solvers.SolveReport, meta=None) -> ResultTable:
-    cols = ["n", "energy", "energy_error", "residual_l2h", "alpha", "rho",
-            "lambda", "c_tilde", "bases_updated", "wall_time"]
-    rows = [
-        [r.n, r.energy, r.energy_error, r.residual_l2h, r.alpha, r.rho,
-         r.lam, r.c_tilde, r.bases_updated, r.wall_time]
-        for r in report.records
-    ]
+    """One row per IterationRecord, one column per field (`lam` as `lambda`)."""
+    names = [f.name for f in fields(solvers.IterationRecord)]
+    cols = ["lambda" if name == "lam" else name for name in names]
+    rows = [[getattr(r, name) for name in names] for r in report.records]
     meta = dict(meta or {})
     meta.setdefault("converged", report.converged)
     meta.setdefault("reason", report.reason)
@@ -404,13 +391,13 @@ def _map(jobs: int, fn, items):
 # experiments
 
 
-def _fine_reference(problem: solvers.Problem, cfg: RunConfig) -> solvers.SolveReport:
+def _fine_reference(problem: solvers.Problem, cfg: dict) -> solvers.SolveReport:
     ref_cfg = solver_config(cfg, method="newton", space="fine",
                             line_search="plain", max_iters=200, tol=1e-15)
     return solvers.solve(problem, ref_cfg)
 
 
-def _initial_guess(cfg: RunConfig, problem: solvers.Problem,
+def _initial_guess(cfg: dict, problem: solvers.Problem,
                    reference: solvers.SolveReport | None = None):
     kind = cfg["solver.u0"]
     if kind == "poisson":
@@ -424,14 +411,13 @@ def _initial_guess(cfg: RunConfig, problem: solvers.Problem,
     raise ConfigError(f"unknown initial guess {kind!r}")
 
 
-def run_solve(cfg: RunConfig, out: str, jobs: int) -> None:
+def run_solve(cfg: dict, out: str, jobs: int) -> None:
     problem = build_problem(cfg)
-    reference = None
-    if cfg["solve.reference"]:
-        reference = _fine_reference(problem, cfg).final_energy
+    reference = _fine_reference(problem, cfg) if cfg["solve.reference"] else None
     report = solvers.solve(problem, solver_config(cfg),
-                           u0=_initial_guess(cfg, problem),
-                           reference_energy=reference)
+                           u0=_initial_guess(cfg, problem, reference),
+                           reference_energy=None if reference is None
+                           else reference.final_energy)
     table = iteration_table(report, meta={"experiment": "solve"})
     write_csv(table, os.path.join(out, "iterations.csv"))
     if len(report.records) > 1:
@@ -447,7 +433,7 @@ def run_solve(cfg: RunConfig, out: str, jobs: int) -> None:
         raise sparsela.SolveError(report.reason)
 
 
-def run_compare_methods(cfg: RunConfig, out: str, jobs: int) -> None:
+def run_compare_methods(cfg: dict, out: str, jobs: int) -> None:
     problem = build_problem(cfg)
     reference = _fine_reference(problem, cfg)
     j_ref = min(reference.final_energy, float(reference.energies.min()))
@@ -480,17 +466,20 @@ def run_compare_methods(cfg: RunConfig, out: str, jobs: int) -> None:
                   os.path.join(out, f"iterations_{method}.csv"))
 
 
-def run_homogenization_error(cfg: RunConfig, out: str, jobs: int) -> None:
+def run_homogenization_error(cfg: dict, out: str, jobs: int) -> None:
     nc_list = cfg["hom.nc_list"]
     fine_n = cfg["hom.fine_n"]
     p = cfg["nfunc.p"]
-
-    def one(nc: int):
-        level = int(round(math.log2(fine_n / nc)))
-        if nc << level != fine_n:
+    for nc in nc_list:
+        # fine_n = nc * 2^k with k >= 0: a positive power of two ratio
+        ratio = fine_n // nc if nc > 0 else 0
+        if ratio < 1 or nc * ratio != fine_n or ratio & (ratio - 1):
             raise ConfigError(
                 f"hom.fine_n={fine_n} is not a power-of-two refinement of nc={nc}"
             )
+
+    def one(nc: int):
+        level = (fine_n // nc).bit_length() - 1
         problem = build_problem(cfg, nc_x=nc, nc_y=nc, level=level)
         ref = _fine_reference(problem, cfg)
         scfg = solver_config(cfg, space="coarse")
@@ -517,7 +506,7 @@ def run_homogenization_error(cfg: RunConfig, out: str, jobs: int) -> None:
              title="homogenization error vs H")
 
 
-def run_regularization_study(cfg: RunConfig, out: str, jobs: int) -> None:
+def run_regularization_study(cfg: dict, out: str, jobs: int) -> None:
     eps_list = cfg["reg.eps_list"]
     ref_problem = build_problem(cfg, eps_minus_pow=cfg["reg.ref_eps_pow"])
     ref_report = _fine_reference(ref_problem, cfg)
@@ -545,7 +534,7 @@ def run_regularization_study(cfg: RunConfig, out: str, jobs: int) -> None:
              title="regularization energy gap")
 
 
-def run_sparse_update_study(cfg: RunConfig, out: str, jobs: int) -> None:
+def run_sparse_update_study(cfg: dict, out: str, jobs: int) -> None:
     problem = build_problem(cfg)
     ref = _fine_reference(problem, cfg)
     p = cfg["nfunc.p"]
@@ -596,7 +585,7 @@ def main(argv=None) -> int:
         description="Iterated numerical homogenization experiments for "
                     "heterogeneous p-Laplacian problems.",
     )
-    parser.add_argument("experiment", choices=EXPERIMENTS)
+    parser.add_argument("experiment", choices=_RUNNERS)
     parser.add_argument("--config", default=None, help="flat key = value file")
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", default="out")

@@ -9,7 +9,8 @@ element-block entry, so an assembly is one ``np.bincount`` over those slots.
 Element gradients come from a second per-mesh matrix, the gradient operator:
 rows 2t and 2t + 1 hold the x and y hat gradients of triangle t in its
 vertex order, so ``G @ u`` sums each component in the order of the plain
-per-element gather and gives the same values.
+per-element gather and gives the same values. The first variation scatters
+the weighted element gradients back to the nodes through ``G.T``.
 """
 
 from __future__ import annotations
@@ -134,15 +135,10 @@ def residual(state: FemState, coeffs: ElementCoefficients, nf: nfunc.NFunction,
              load: np.ndarray) -> np.ndarray:
     """First-variation vector over free nodes."""
     mesh = state.mesh
-    _, gx, gy, _ = mesh.geometry()
-    g = state.grads()
     w = mesh.areas * coeffs.values * nfunc.eval_secant(nf, state.grad_norms())
-    # contribution of element t to node tris[t,i]: w_t * (grad u . grad lambda_i)
-    contrib = w[:, None] * (g[:, 0:1] * gx + g[:, 1:2] * gy)
-    r = np.bincount(
-        mesh.triangles.reshape(-1), weights=contrib.reshape(-1),
-        minlength=mesh.n_vertices,
-    )
+    # node j gets sum_t w_t (grad u . grad lambda_j)_t: the transposed gradient
+    # operator applied to the weighted element gradients
+    r = _gradient_operator(mesh).T @ (w[:, None] * state.grads()).reshape(-1)
     return (r - load)[mesh.free_nodes]
 
 

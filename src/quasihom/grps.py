@@ -2,9 +2,11 @@
 
 Each basis minimizes the energy norm of the current linearized operator
 subject to biorthogonality against the coarse-element indicator functions
-(one constraint per coarse triangle). Bases are localized to element patches;
-an update indicator lets the nonlinear driver skip recomputation of bases
-whose operator coefficients barely changed.
+(one constraint per coarse triangle, a row of the measurement matrix).
+Bases are localized to element patches; an update indicator lets the
+nonlinear driver skip recomputation of bases whose operator coefficients
+barely changed. The interpolation built on these bases is a test oracle
+(``tests/oracles.py``): no solver step uses it.
 """
 
 from __future__ import annotations
@@ -16,18 +18,6 @@ import scipy.sparse as sp
 
 from . import sparsela
 from .mesh import Mesh, Patch, build_patch
-
-
-@dataclass
-class MeasurementSet:
-    """Integrals of free-node hats against coarse-triangle indicators.
-
-    matrix is (n_coarse, n_free); row i sums to |T_i| minus the hat mass
-    lost to boundary nodes.
-    """
-
-    matrix: sp.csr_matrix
-    n_coarse: int
 
 
 @dataclass
@@ -47,8 +37,13 @@ def default_layers(mesh: Mesh) -> int:
     return max(2, int(np.ceil(np.log2(1.0 / h_coarse))))
 
 
-def build_measurements(mesh: Mesh) -> MeasurementSet:
-    """Exact integrals int_{T_i} lambda_j assembled from fine element masses."""
+def build_measurements(mesh: Mesh) -> sp.csr_matrix:
+    """Exact integrals int_{T_i} lambda_j of the free-node hats against the
+    coarse-triangle indicators, assembled from fine element masses.
+
+    The result is (n_coarse, n_free); row i sums to |T_i| minus the hat mass
+    lost to boundary nodes.
+    """
     if not mesh.is_structured:
         raise ValueError("measurements need the coarse structure of the mesh")
     n_coarse = mesh.n_coarse_triangles
@@ -59,16 +54,16 @@ def build_measurements(mesh: Mesh) -> MeasurementSet:
     full = sp.coo_matrix(
         (vals, (rows, cols)), shape=(n_coarse, mesh.n_vertices)
     ).tocsr()
-    return MeasurementSet(matrix=full[:, mesh.free_nodes].tocsr(), n_coarse=n_coarse)
+    return full[:, mesh.free_nodes].tocsr()
 
 
-def _solve_basis(op: sp.csr_matrix, meas: MeasurementSet, mesh: Mesh,
+def _solve_basis(op: sp.csr_matrix, meas: sp.csr_matrix, mesh: Mesh,
                  i: int, layers: int | None, patch: Patch | None):
     """One constrained minimization; returns (patch, free-node positions,
     values) of basis i. `patch` is reused when given, else built."""
     if layers is None:
         nodes_pos = np.arange(op.shape[0])
-        coarse_ids = np.arange(meas.n_coarse)
+        coarse_ids = np.arange(meas.shape[0])
         a_sub = op
     else:
         if patch is None:
@@ -76,7 +71,7 @@ def _solve_basis(op: sp.csr_matrix, meas: MeasurementSet, mesh: Mesh,
         nodes_pos = mesh.free_pos[patch.interior_fine_nodes]
         coarse_ids = patch.elements
         a_sub = op[nodes_pos][:, nodes_pos].tocsr()
-    b_sub = meas.matrix[coarse_ids][:, nodes_pos].tocsr()
+    b_sub = meas[coarse_ids][:, nodes_pos].tocsr()
     rhs_c = np.zeros(coarse_ids.size)
     rhs_c[np.searchsorted(coarse_ids, i)] = 1.0
     try:
@@ -90,14 +85,14 @@ def _solve_basis(op: sp.csr_matrix, meas: MeasurementSet, mesh: Mesh,
     return patch, nodes_pos, x
 
 
-def compute_basis(op: sp.csr_matrix, meas: MeasurementSet, mesh: Mesh,
+def compute_basis(op: sp.csr_matrix, meas: sp.csr_matrix, mesh: Mesh,
                   layers: int | None = None, indices=None) -> CoarseSpace:
     """Coarse space for the given operator; layers=None builds global bases.
 
     Patch problems are independent; `indices` restricts computation to a
     subset (the remaining rows are zero).
     """
-    n = meas.n_coarse
+    n = meas.shape[0]
     empty = CoarseSpace(
         basis=sp.csr_matrix((n, op.shape[0])),
         layers=layers,
@@ -107,7 +102,7 @@ def compute_basis(op: sp.csr_matrix, meas: MeasurementSet, mesh: Mesh,
                          range(n) if indices is None else indices)
 
 
-def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: MeasurementSet,
+def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
                   mesh: Mesh, indices) -> CoarseSpace:
     """Recompute the selected bases against a new operator, keep the rest."""
     keep = np.ones(space.n_basis, dtype=bool)
@@ -130,11 +125,6 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: MeasurementSet,
             shape=basis.shape,
         )
     return replace(space, basis=basis.tocsr(), patches=patches)
-
-
-def interpolate(w: np.ndarray, space: CoarseSpace, meas: MeasurementSet) -> np.ndarray:
-    """w_I = sum_i (int psi_i w) phi_i over free nodes."""
-    return space.basis.T @ (meas.matrix @ w)
 
 
 def coarse_solve(op: sp.csr_matrix, rhs: np.ndarray,

@@ -115,8 +115,6 @@ class Mesh:
 class Patch:
     """Element-centered patch grown by vertex-sharing adjacency on the coarse grid."""
 
-    center_element: int
-    layers: int
     elements: np.ndarray
     fine_elements: np.ndarray
     interior_fine_nodes: np.ndarray
@@ -233,8 +231,6 @@ def build_patch(mesh: Mesh, i: int, layers: int) -> Patch:
     total = mesh.node_to_triangle_count()
     interior = np.flatnonzero((in_count == total) & (in_count > 0) & ~mesh.boundary_mask)
     return Patch(
-        center_element=i,
-        layers=layers,
         elements=elements,
         fine_elements=fine_elements,
         interior_fine_nodes=interior,

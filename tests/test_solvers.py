@@ -345,6 +345,17 @@ def test_solve_solver_failure_exit():
     assert rec.bases_updated == 0
 
 
+def test_solve_divergence_exit():
+    # full coarse steps at p = 10 overshoot: the energy leaves its initial
+    # sublevel set after the first step and never returns
+    pr = make_problem(4, 2, p=10.0, kind="mstrig")
+    rep = solvers.solve(pr, SolverConfig(space="coarse", line_search="none",
+                                         max_iters=8))
+    assert rep.reason == "solver_failure: energy rose above its initial value"
+    assert len(rep.records) == 3
+    assert rep.records[1].energy > rep.records[0].energy
+
+
 def test_solve_coarse_solve_failure_counts_built_bases(monkeypatch):
     pr = make_problem(4, 2, p=5.0, kind="mstrig")
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from quasihom import coeff, fem, grps
 from quasihom.mesh import build_coarse_mesh, build_patch, refine
@@ -157,9 +158,29 @@ def test_factorized_singular_neumann_laplacian_raises(n):
         factorized_spd(lap)
 
 
+def _patch_kkt(mesh, op, meas, i):
+    """KKT blocks of the 1-layer localized basis of coarse element i, as in
+    grps._solve_basis: operator and constraint rows sliced to the patch."""
+    patch = build_patch(mesh, i, 1)
+    pos = mesh.free_pos[patch.interior_fine_nodes]
+    g = np.zeros(patch.elements.size)
+    g[np.searchsorted(patch.elements, i)] = 1.0
+    return (op[pos][:, pos].tocsr(), meas[patch.elements][:, pos].tocsr(),
+            np.zeros(pos.size), g)
+
+
+def _assert_matches_dense(a, b, f, g):
+    x, lam = solve_saddle(SaddleSystem(a, b, f, g))
+    n, m = f.size, g.size
+    kkt = np.block([[a.toarray(), b.T.toarray()], [b.toarray(), np.zeros((m, m))]])
+    dense = np.linalg.solve(kkt, np.r_[f, g])
+    assert _rel(x, dense[:n]) <= 1e-10
+    assert _rel(lam, dense[n:]) <= 1e-10
+
+
 def test_saddle_high_contrast_patch_matches_dense():
     # a localized basis problem: contrast-1e6 channel stiffness on a patch,
-    # constraint rows of entries about h^2, as in grps._solve_basis
+    # constraint rows of entries about h^2
     mesh = refine(build_coarse_mesh(8, 8), 3)
     field = coeff.synth_channels(64, 64, 3, 1e6, seed=1)
     kappa = coeff.sample_on_mesh(field, mesh).values
@@ -170,16 +191,43 @@ def test_saddle_high_contrast_patch_matches_dense():
         patch = build_patch(mesh, i, 1)
         if kappa[patch.fine_elements].max() / kappa[patch.fine_elements].min() < 1e6:
             continue
-        pos = mesh.free_pos[patch.interior_fine_nodes]
-        a = op[pos][:, pos].tocsr()
-        b = meas.matrix[patch.elements][:, pos].tocsr()
-        n, m = pos.size, patch.elements.size
-        g = np.zeros(m)
-        g[np.searchsorted(patch.elements, i)] = 1.0
-        x, lam = solve_saddle(SaddleSystem(a, b, np.zeros(n), g))
-        kkt = np.block([[a.toarray(), b.T.toarray()], [b.toarray(), np.zeros((m, m))]])
-        dense = np.linalg.solve(kkt, np.r_[np.zeros(n), g])
-        assert _rel(x, dense[:n]) <= 1e-10
-        assert _rel(lam, dense[n:]) <= 1e-10
+        _assert_matches_dense(*_patch_kkt(mesh, op, meas, i))
         checked += 1
     assert checked >= 3
+
+
+def _random_contrast(nc, level):
+    """Stiffness whose element weights are 1, or 1e6 with probability 0.3."""
+    mesh = refine(build_coarse_mesh(nc, nc), level)
+    rng = np.random.default_rng(1)
+    weights = np.where(rng.random(mesh.n_triangles) < 0.3, 1e6, 1.0)
+    return mesh, fem.weighted_stiffness(mesh, weights), grps.build_measurements(mesh)
+
+
+@pytest.mark.parametrize("nc, level", [(4, 3), (8, 2)])
+def test_saddle_random_contrast_patches_pass_backward_error_check(nc, level):
+    # |A| |x| is about 1e6 times |rhs| here: a residual check scaled by the
+    # right-hand side alone rejected several of these well-solved systems
+    mesh, op, meas = _random_contrast(nc, level)
+    for i in range(15):
+        _assert_matches_dense(*_patch_kkt(mesh, op, meas, i))
+
+
+def test_saddle_inaccurate_solve_raises(monkeypatch):
+    mesh, op, meas = _random_contrast(4, 3)
+    system = SaddleSystem(*_patch_kkt(mesh, op, meas, 0))
+    solve_saddle(system)
+    splu = spla.splu
+    noise = np.random.default_rng(2)
+
+    class Perturbed:
+        def __init__(self, *args, **kwargs):
+            self.lu = splu(*args, **kwargs)
+
+        def solve(self, rhs):
+            x = self.lu.solve(rhs)
+            return x * (1.0 + 1e-6 * noise.choice([-1.0, 1.0], x.size))
+
+    monkeypatch.setattr(spla, "splu", Perturbed)
+    with pytest.raises(ConvergenceError):
+        solve_saddle(system)
