@@ -127,7 +127,7 @@ def energy(state: FemState, coeffs: ElementCoefficients, nf: nfunc.NFunction,
            load: np.ndarray) -> float:
     """J(u) = sum_T |T| kappa_T phi(|grad u|_T) - load . u (load = M f)."""
     mesh = state.mesh
-    phi = nfunc.eval(nf, state.grad_norms())[0]
+    phi = nfunc.phi(nf, state.grad_norms())
     return float(mesh.areas @ (coeffs.values * phi) - load @ state.u)
 
 
@@ -162,7 +162,7 @@ def assemble_linearized(state: FemState, coeffs: ElementCoefficients,
         sec = nfunc.eval_secant(nf, s)
         blocks = _stiffness_blocks(mesh, areas * coeffs.values * sec)
         if mode == "newton":
-            _, dphi, ddphi = nfunc.eval(nf, s)
+            dphi, ddphi = nfunc.dphi(nf, s), nfunc.ddphi(nf, s)
             safe = np.where(s > 0, s, 1.0)
             c = np.where(s > 0, (ddphi * s - dphi) / safe ** 3, 0.0)
             g = state.grads()

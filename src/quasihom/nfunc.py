@@ -15,6 +15,8 @@ phi(0) * int kappa. It moves no direction or step in exact arithmetic, but it
 is part of every reported energy and of the relative energy decrease that
 the stopping test divides by, and the benchmark's recorded energies include
 it, so it is not shifted away here.
+
+``phi``, ``dphi`` and ``ddphi`` evaluate one derivative each; ``eval`` all three.
 """
 
 from __future__ import annotations
@@ -65,80 +67,87 @@ class NFunction:
         return NFunction(kind=kind, p=p, eps_minus=em, eps_plus=eps_plus)
 
 
-def _power_eval(t, p):
-    phi = t ** p / p
-    dphi = t ** (p - 1.0)
-    if p == 2.0:
-        ddphi = np.ones_like(t)
-    else:
-        ddphi = (p - 1.0) * np.where(t > 0, t, 1.0) ** (p - 2.0)
-        ddphi = np.where(t > 0, ddphi, 0.0)
-    return phi, dphi, ddphi
-
-
-def eval(nf: NFunction, t):
-    """Return (phi(t), phi'(t), phi''(t)); t is a scalar or array, t >= 0."""
+def _as_array(t):
+    """(t as a 1-d float array, whether t was a scalar); rejects t < 0."""
     scalar = np.isscalar(t) or np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(t < 0):
         raise ValueError("N-functions are evaluated at t >= 0")
+    return t, scalar
+
+
+def _power(t, p, order):
+    """Derivative `order` (0, 1 or 2) of t^p / p."""
+    if order < 2:
+        return t ** p / p if order == 0 else t ** (p - 1.0)
+    if p == 2.0:
+        return np.ones_like(t)
+    return np.where(t > 0, (p - 1.0) * np.where(t > 0, t, 1.0) ** (p - 2.0), 0.0)
+
+
+def _outer(nf: NFunction, t, order, lower):
+    """Derivative `order` of the piece below eps_minus (lower) or above eps_plus."""
     p = nf.p
-    if nf.kind == "power":
-        out = _power_eval(t, p)
-        if scalar:
-            return tuple(float(v[0]) for v in out)
-        return out
-
-    em, ep = nf.eps_minus, nf.eps_plus
-    phi, dphi, ddphi = _power_eval(np.clip(t, em, ep if math.isfinite(ep) else None), p)
-    phi = np.array(phi, copy=True)
-    dphi = np.array(dphi, copy=True)
-    ddphi = np.array(ddphi, copy=True)
-
-    # at a breakpoint the lower/left piece applies (matters only for phi'')
-    lo = t <= em
-    hi = math.isfinite(ep) and (t > ep)
-    tl = t[lo]
+    e = nf.eps_minus if lower else nf.eps_plus
+    c = e ** (p - 2.0)
     if nf.kind == "reg_c1":
-        c = em ** (p - 2.0)
-        phi[lo] = 0.5 * c * tl ** 2 + (1.0 / p - 0.5) * em ** p
-        dphi[lo] = c * tl
-        ddphi[lo] = c
+        if order == 0:
+            return 0.5 * c * t ** 2 + (1.0 / p - 0.5) * e ** p
+        return c * t if order == 1 else c
+    if lower:
+        if order == 0:
+            return (c / p * t ** 2
+                    + (p - 2.0) / (p * p + 2.0 * p) * e ** -2.0 * t ** (p + 2.0)
+                    - (p - 2.0) / (p * (p + 2.0)) * e ** p)
+        if order == 1:
+            return 2.0 * c / p * t + (p - 2.0) / p * e ** -2.0 * t ** (p + 1.0)
+        return 2.0 * c / p + (p - 2.0) * (p + 1.0) / p * e ** -2.0 * t ** p
+    # reg_c2 above eps_plus: second-order Taylor extension of t^p/p there
+    if order == 0:
+        return (0.5 * (p - 1.0) * c * t ** 2 + (2.0 - p) * e ** (p - 1.0) * t
+                + (p * p - 3.0 * p + 2.0) / (2.0 * p) * e ** p)
+    if order == 1:
+        return (p - 1.0) * c * t + (2.0 - p) * e ** (p - 1.0)
+    return (p - 1.0) * c
+
+
+def _derivative(nf: NFunction, t, order: int):
+    """phi (order 0), phi' (1) or phi'' (2) at t >= 0, a scalar or an array."""
+    t, scalar = _as_array(t)
+    if nf.kind == "power":
+        out = _power(t, nf.p, order)
+    else:
+        em, ep = nf.eps_minus, nf.eps_plus
+        out = _power(np.clip(t, em, ep if math.isfinite(ep) else None), nf.p, order)
+        # at a breakpoint the lower/left piece applies (matters only for phi'')
+        lo = t <= em
+        out[lo] = _outer(nf, t[lo], order, lower=True)
+        hi = math.isfinite(ep) and (t > ep)
         if np.any(hi):
-            th = t[hi]
-            cp = ep ** (p - 2.0)
-            phi[hi] = 0.5 * cp * th ** 2 + (1.0 / p - 0.5) * ep ** p
-            dphi[hi] = cp * th
-            ddphi[hi] = cp
-    else:  # reg_c2
-        c = em ** (p - 2.0)
-        phi[lo] = (
-            c / p * tl ** 2
-            + (p - 2.0) / (p * p + 2.0 * p) * em ** -2.0 * tl ** (p + 2.0)
-            - (p - 2.0) / (p * (p + 2.0)) * em ** p
-        )
-        dphi[lo] = 2.0 * c / p * tl + (p - 2.0) / p * em ** -2.0 * tl ** (p + 1.0)
-        ddphi[lo] = 2.0 * c / p + (p - 2.0) * (p + 1.0) / p * em ** -2.0 * tl ** p
-        if np.any(hi):
-            # second-order Taylor extension of t^p/p at eps_plus
-            th = t[hi]
-            cp = ep ** (p - 2.0)
-            phi[hi] = (
-                0.5 * (p - 1.0) * cp * th ** 2
-                + (2.0 - p) * ep ** (p - 1.0) * th
-                + (p * p - 3.0 * p + 2.0) / (2.0 * p) * ep ** p
-            )
-            dphi[hi] = (p - 1.0) * cp * th + (2.0 - p) * ep ** (p - 1.0)
-            ddphi[hi] = (p - 1.0) * cp
-    if scalar:
-        return float(phi[0]), float(dphi[0]), float(ddphi[0])
-    return phi, dphi, ddphi
+            out[hi] = _outer(nf, t[hi], order, lower=False)
+    return float(out[0]) if scalar else out
+
+
+def phi(nf: NFunction, t):
+    return _derivative(nf, t, 0)
+
+
+def dphi(nf: NFunction, t):
+    return _derivative(nf, t, 1)
+
+
+def ddphi(nf: NFunction, t):
+    return _derivative(nf, t, 2)
+
+
+def eval(nf: NFunction, t):
+    """Return (phi(t), phi'(t), phi''(t)); t is a scalar or array, t >= 0."""
+    return phi(nf, t), dphi(nf, t), ddphi(nf, t)
 
 
 def eval_secant(nf: NFunction, t):
     """phi'(t)/t with the removable singularity at t = 0 resolved."""
-    scalar = np.isscalar(t) or np.ndim(t) == 0
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t, scalar = _as_array(t)
     p = nf.p
     if nf.kind == "power":
         if p == 2.0:
@@ -147,10 +156,6 @@ def eval_secant(nf: NFunction, t):
             sec = np.where(t > 0, np.where(t > 0, t, 1.0) ** (p - 2.0), 0.0)
     else:
         safe = np.where(t > 0, t, 1.0)
-        _, dphi, _ = eval(nf, t)
-        if nf.kind == "reg_c1":
-            lim = nf.eps_minus ** (p - 2.0)
-        else:
-            lim = 2.0 / p * nf.eps_minus ** (p - 2.0)
-        sec = np.where(t > 0, dphi / safe, lim)
+        lim = (1.0 if nf.kind == "reg_c1" else 2.0 / p) * nf.eps_minus ** (p - 2.0)
+        sec = np.where(t > 0, dphi(nf, t) / safe, lim)
     return float(sec[0]) if scalar else sec

@@ -25,6 +25,7 @@ GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 ALPHA_MAX = 4.0        # largest step the line search brackets
 LS_REL_TOL = 1e-6      # relative width at which the golden section stops
 FD_STEP = 1e-6         # central-difference step of the penalty weight lambda
+CN_LOG_TOL = 1e-9      # bracket width in log c at which the c_tilde search stops
 
 METHODS = ("gd", "pgd", "newton", "quasinorm")
 SPACES = ("fine", "coarse")
@@ -191,12 +192,12 @@ def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig
     kv = problem.kappa.values
     areas = mesh.areas
     a = state.grad_norms()
-    phi_a = nfunc.eval(nf, a)[0]
+    phi_a = nfunc.phi(nf, a)
     cq = cfg.cq
 
     def inner_energy(wv: np.ndarray) -> float:
         wn = fem.FemState(mesh, problem.expand(wv)).grad_norms()
-        ph, dph, _ = nfunc.eval(nf, a + wn)
+        ph, dph = nfunc.phi(nf, a + wn), nfunc.dphi(nf, a + wn)
         return cq * float(areas @ (kv * (wn * dph - ph + phi_a))) + float(r @ wv)
 
     w = np.zeros(r.size)
@@ -204,7 +205,7 @@ def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig
     converged = False
     for _ in range(cfg.inner_cap):
         wn = fem.FemState(mesh, problem.expand(w)).grad_norms()
-        dd = nfunc.eval(nf, a + wn)[2]
+        dd = nfunc.ddphi(nf, a + wn)
         k = fem.weighted_stiffness(mesh, kv * dd)
         target = sparsela.factorized_spd(k)(-r / cq)
         d = target - w
@@ -311,11 +312,50 @@ def line_search(problem: Problem, state: fem.FemState, w_free: np.ndarray,
     return alpha, rho, lam
 
 
+def _brent_root(f, a: float, fa: float, b: float, fb: float, xtol: float) -> float:
+    """Root of f between a and b, where fa = f(a) and fb = f(b) differ in sign.
+
+    Brent's method: secant or inverse quadratic steps while they shrink the
+    bracket fast enough, bisection when they stall. Stops once the bracket
+    around the returned point is narrower than about xtol.
+    """
+    c, fc = b, fb                         # the first pass makes a the contrapoint
+    while True:
+        if (fb > 0) == (fc > 0):          # keep the root between b and c
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):             # b is the best point so far
+            a, b, c, fa, fb, fc = b, c, b, fb, fc, fb
+        tol = 2.0 * np.finfo(float).eps * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:                    # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:                         # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0 else (-p, q)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+
+
 def estimate_cn(problem: Problem, state: fem.FemState, w0_free: np.ndarray,
                 op: sp.csr_matrix) -> float:
     """Scaling constant matching the operator energy of the fine direction to
     its quasi-norm: the unique root c of
-    c * A(w0, w0) = int kappa phi''(|grad u| + |grad w0| / c) |grad w0|^2.
+    c * A(w0, w0) = int kappa phi''(|grad u| + |grad w0| / c) |grad w0|^2,
+    found in [1e-6, 1e12] by Brent's method on log c.
     """
     lhs_unit = float(w0_free @ (op @ w0_free))
     if lhs_unit <= 0:
@@ -326,28 +366,22 @@ def estimate_cn(problem: Problem, state: fem.FemState, w0_free: np.ndarray,
     kv = problem.kappa.values
     areas = mesh.areas
 
-    def rhs(c: float) -> float:
-        dd = nfunc.eval(problem.nf, su + wn / c)[2]
-        return float(areas @ (kv * dd * wn ** 2))
+    # log(c A(w0, w0) / quasi-norm) at c = exp(x): increasing in x, and close
+    # to linear away from the root, where a power of c dominates the quasi-norm
+    def log_ratio(x: float) -> float:
+        q = float(areas @ (kv * nfunc.ddphi(problem.nf, su + wn / math.exp(x)) * wn ** 2))
+        return x + math.log(lhs_unit) - math.log(q)
 
-    # defect c*lhs_unit - rhs(c) is increasing in c; the quadratic case
-    # balances exactly at c = 1, return it without bisection noise
-    if abs(lhs_unit - rhs(1.0)) <= 1e-12 * lhs_unit:
+    # the quadratic case balances exactly at c = 1, return it without
+    # round-off; elsewhere the sign at c = 1 says which half holds the root
+    g1 = log_ratio(0.0)
+    if abs(g1) <= 1e-12:
         return 1.0
-    lo, hi = 1e-6, 1e12
-    if lhs_unit * lo - rhs(lo) > 0 or lhs_unit * hi - rhs(hi) < 0:
+    x_end = math.log(1e-6) if g1 > 0 else math.log(1e12)
+    g_end = log_ratio(x_end)
+    if g_end * g1 > 0:
         raise ValueError("bracketing failure in scaling-constant estimate")
-    llo, lhi = math.log(lo), math.log(hi)
-    for _ in range(200):
-        midl = 0.5 * (llo + lhi)
-        c = math.exp(midl)
-        if lhs_unit * c - rhs(c) > 0:
-            lhi = midl
-        else:
-            llo = midl
-        if (lhi - llo) <= 1e-8:
-            break
-    return math.exp(0.5 * (llo + lhi))
+    return math.exp(_brent_root(log_ratio, x_end, g_end, 0.0, g1, CN_LOG_TOL))
 
 
 def solve(problem: Problem, cfg: SolverConfig,

@@ -5,16 +5,19 @@ the Bregman distance and the scalar update indicator only state the paper's
 quantities in their plainest form, so that the vectorized library code can
 be compared with them. The GRPS interpolation is what the optimal-recovery
 tests check the coarse bases with. The per-element gradient gather is the
-plain form of the library's cached gradient operator.
+plain form of the library's cached gradient operator, and the log-scale
+bisection the plain form of the library's root search for c_tilde.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
 
-from quasihom import fem, nfunc
+from quasihom import fem, nfunc, solvers
 from quasihom.coeff import ElementCoefficients
 from quasihom.fem import FemState
 
@@ -76,3 +79,40 @@ def interpolate(w: np.ndarray, space, meas: sp.csr_matrix) -> np.ndarray:
 def update_indicator(op_incr: sp.csr_matrix, basis_vec: np.ndarray) -> float:
     """Energy of one basis in the operator linearized at the last increment."""
     return float(basis_vec @ (op_incr @ basis_vec))
+
+
+def estimate_cn_bisection(problem: solvers.Problem, state: FemState,
+                          w0_free: np.ndarray, op: sp.csr_matrix) -> float:
+    """The root c of c * A(w0, w0) = int kappa phi''(|grad u| + |grad w0| / c)
+    |grad w0|^2 by bisection on log c over [1e-6, 1e12], to width 1e-8."""
+    lhs_unit = float(w0_free @ (op @ w0_free))
+    if lhs_unit <= 0:
+        raise ValueError("direction has no operator energy")
+    mesh = problem.mesh
+    su = state.grad_norms()
+    wn = FemState(mesh, problem.expand(w0_free)).grad_norms()
+    kv = problem.kappa.values
+    areas = mesh.areas
+
+    def rhs(c: float) -> float:
+        dd = nfunc.eval(problem.nf, su + wn / c)[2]
+        return float(areas @ (kv * dd * wn ** 2))
+
+    # defect c*lhs_unit - rhs(c) is increasing in c; the quadratic case
+    # balances exactly at c = 1, return it without bisection noise
+    if abs(lhs_unit - rhs(1.0)) <= 1e-12 * lhs_unit:
+        return 1.0
+    lo, hi = 1e-6, 1e12
+    if lhs_unit * lo - rhs(lo) > 0 or lhs_unit * hi - rhs(hi) < 0:
+        raise ValueError("bracketing failure in scaling-constant estimate")
+    llo, lhi = math.log(lo), math.log(hi)
+    for _ in range(200):
+        midl = 0.5 * (llo + lhi)
+        c = math.exp(midl)
+        if lhs_unit * c - rhs(c) > 0:
+            lhi = midl
+        else:
+            llo = midl
+        if (lhi - llo) <= 1e-8:
+            break
+    return math.exp(0.5 * (llo + lhi))

@@ -31,9 +31,30 @@ def test_power_array_shapes():
 
 
 def test_negative_argument_rejected():
-    nf = NFunction("power", 2.0)
-    with pytest.raises(ValueError):
-        nfunc.eval(nf, -1.0)
+    for nf in (NFunction("power", 3.5), NFunction("reg_c1", 3.5, 1e-3, 5.0),
+               NFunction("reg_c2", 3.5, 1e-3, 5.0)):
+        for entry in (nfunc.eval, nfunc.phi, nfunc.dphi, nfunc.ddphi, nfunc.eval_secant):
+            for t in (-1.0, [-1.0, 0.5]):
+                with pytest.raises(ValueError, match="t >= 0"):
+                    entry(nf, t)
+
+
+@given(kind=st.sampled_from(nfunc.KINDS), p=st.floats(1.5, 20.0),
+       em=st.floats(1e-3, 1.0), ep_factor=st.one_of(st.just(math.inf), st.floats(1.5, 10.0)),
+       ts=st.lists(st.floats(0.0, 50.0), max_size=8))
+def test_single_order_kernels_match_eval_bitwise(kind, p, em, ep_factor, ts):
+    if kind == "power":
+        nf = NFunction("power", p)
+        ts = ts + [0.0, 1e-3, 1.0]
+    else:
+        nf = NFunction(kind, p, em, em * ep_factor)
+        ts = ts + [0.0, nf.eps_minus, nf.eps_plus if math.isfinite(nf.eps_plus) else 2.0 * em]
+    t = np.array(ts)
+    for order, kernel in enumerate((nfunc.phi, nfunc.dphi, nfunc.ddphi)):
+        assert np.array_equal(kernel(nf, t), nfunc.eval(nf, t)[order])
+        for ti in ts[-3:]:
+            assert kernel(nf, ti) == nfunc.eval(nf, ti)[order]
+            assert isinstance(kernel(nf, ti), float)
 
 
 def test_invalid_parameters():

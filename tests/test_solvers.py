@@ -7,7 +7,7 @@ from quasihom import coeff, fem, nfunc, solvers, sparsela
 from quasihom.solvers import LineSearchError, SolverConfig
 
 from conftest import make_problem, random_state
-from oracles import quasi_norm
+from oracles import estimate_cn_bisection, quasi_norm
 
 
 def test_config_validation():
@@ -157,13 +157,14 @@ def test_regularized_alpha_smaller_on_coarse_direction():
 
 
 def test_estimate_cn_p2_exactly_one(rng):
-    pr = make_problem(4, 2, p=2.0, kind="mstrig")
-    st = random_state(pr, rng, scale=0.5)
-    op = pr.operator(st, "newton")
-    r = pr.residual(st)
-    w0 = sparsela.factorized_spd(op)(-r)
-    assert solvers.estimate_cn(pr, st, w0, op) == 1.0
-    assert solvers.estimate_cn(pr, st, 7.3 * w0, op) == 1.0
+    for nf_kind in ("power", "reg_c1", "reg_c2"):
+        pr = make_problem(4, 2, p=2.0, kind="mstrig", nf_kind=nf_kind)
+        st = random_state(pr, rng, scale=0.5)
+        op = pr.operator(st, "newton")
+        r = pr.residual(st)
+        w0 = sparsela.factorized_spd(op)(-r)
+        assert solvers.estimate_cn(pr, st, w0, op) == 1.0
+        assert solvers.estimate_cn(pr, st, 7.3 * w0, op) == 1.0
 
 
 def test_estimate_cn_solves_balance_equation(rng):
@@ -179,6 +180,52 @@ def test_estimate_cn_solves_balance_equation(rng):
     rhs = float(pr.mesh.areas @ (pr.kappa.values * dd * wn ** 2))
     lhs = c * float(w0 @ (op @ w0))
     assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+@pytest.mark.parametrize("nf_kind", ["power", "reg_c1", "reg_c2"])
+@pytest.mark.parametrize("p", [3.0, 5.0, 10.0, 20.0])
+def test_estimate_cn_matches_bisection_in_few_evaluations(nf_kind, p, rng, monkeypatch):
+    pr = make_problem(4, 2, p=p, kind="mstrig", nf_kind=nf_kind)
+    calls = []
+    ddphi = nfunc.ddphi
+    monkeypatch.setattr(nfunc, "ddphi", lambda nf, t: calls.append(t) or ddphi(nf, t))
+    for scale, mode in ((0.3, "newton"), (0.05, "pgd"), (1.0, "newton")):
+        st = random_state(pr, rng, scale=scale)
+        op = pr.operator(st, mode)
+        w0 = sparsela.factorized_spd(op)(-pr.residual(st))
+        c_ref = estimate_cn_bisection(pr, st, w0, op)
+        calls.clear()
+        assert solvers.estimate_cn(pr, st, w0, op) == pytest.approx(c_ref, rel=1e-8, abs=0)
+        assert len(calls) <= 20
+
+
+@pytest.mark.parametrize("kappa", [1e14, 1e-8])
+def test_estimate_cn_bracketing_failure(kappa, rng):
+    # at p = 2 the root is kappa itself against the plain Laplacian, and
+    # these lie outside the searched [1e-6, 1e12]
+    pr = make_problem(4, 2, p=2.0, field=coeff.constant_field(kappa))
+    st = random_state(pr, rng)
+    op = pr.operator(st, "gd")
+    w0 = rng.standard_normal(pr.mesh.free_nodes.size)
+    for estimate in (solvers.estimate_cn, estimate_cn_bisection):
+        with pytest.raises(ValueError, match="bracketing failure"):
+            estimate(pr, st, w0, op)
+
+
+def test_energy_quasinorm_and_cn_skip_three_output_eval(rng, monkeypatch):
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    st = random_state(pr, rng, scale=0.3)
+    r = pr.residual(st)
+    op = pr.operator(st, "newton")
+    w0 = sparsela.factorized_spd(op)(-r)
+
+    def no_eval(nf, t):
+        raise AssertionError("nfunc.eval called")
+
+    monkeypatch.setattr(nfunc, "eval", no_eval)
+    pr.energy(st)
+    solvers.estimate_cn(pr, st, w0, op)
+    solvers.quasinorm_direction(pr, st, SolverConfig(method="quasinorm"), r=r)
 
 
 def test_solve_p2_two_records():
