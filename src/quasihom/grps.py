@@ -3,10 +3,12 @@
 Each basis minimizes the energy norm of the current linearized operator
 subject to biorthogonality against the coarse-element indicator functions
 (one constraint per coarse triangle, a row of the measurement matrix).
-Bases are localized to element patches; an update indicator lets the
-nonlinear driver skip recomputation of bases whose operator coefficients
-barely changed. The interpolation built on these bases is a test oracle
-(``tests/oracles.py``): no solver step uses it.
+Global bases share one KKT matrix, so a global build factors it once and
+makes one checked saddle solve per basis; localized bases each factor their
+element patch's problem. An update indicator lets the nonlinear driver skip
+recomputation of bases whose operator coefficients barely changed. The
+interpolation built on these bases is a test oracle (``tests/oracles.py``):
+no solver step uses it.
 """
 
 from __future__ import annotations
@@ -57,32 +59,37 @@ def build_measurements(mesh: Mesh) -> sp.csr_matrix:
     return full[:, mesh.free_nodes].tocsr()
 
 
-def _solve_basis(op: sp.csr_matrix, meas: sp.csr_matrix, mesh: Mesh,
-                 i: int, layers: int | None, patch: Patch | None):
-    """One constrained minimization; returns (patch, free-node positions,
-    values) of basis i. `patch` is reused when given, else built."""
-    if layers is None:
-        nodes_pos = np.arange(op.shape[0])
-        coarse_ids = np.arange(meas.shape[0])
-        a_sub = op
-    else:
-        if patch is None:
-            patch = build_patch(mesh, i, layers)
-        nodes_pos = mesh.free_pos[patch.interior_fine_nodes]
-        coarse_ids = patch.elements
-        a_sub = op[nodes_pos][:, nodes_pos].tocsr()
-    b_sub = meas[coarse_ids][:, nodes_pos].tocsr()
+def _solve_basis(a: sp.csr_matrix, b: sp.csr_matrix, coarse_ids: np.ndarray,
+                 i: int, layers: int | None, factor=None) -> np.ndarray:
+    """Basis i: one checked saddle solve on the operator block `a` and the
+    measurement rows `coarse_ids` (block `b`), against `factor` if given."""
     rhs_c = np.zeros(coarse_ids.size)
     rhs_c[np.searchsorted(coarse_ids, i)] = 1.0
     try:
         x, _ = sparsela.solve_saddle(
-            sparsela.SaddleSystem(a_sub, b_sub, np.zeros(nodes_pos.size), rhs_c)
+            sparsela.SaddleSystem(a, b, np.zeros(a.shape[0]), rhs_c, factor)
         )
     except sparsela.SolveError as exc:
         raise sparsela.RankDeficiencyError(
             f"basis {i} (layers={layers}): {exc}"
         ) from exc
-    return patch, nodes_pos, x
+    return x
+
+
+def _global_bases(op: sp.csr_matrix, meas: sp.csr_matrix,
+                  indices: np.ndarray) -> np.ndarray:
+    """Rows `indices` of the global basis. They share one KKT matrix, factored
+    once; the block is allocated first and the factor dropped on return,
+    which keeps the peak heap flat."""
+    block = np.empty((indices.size, op.shape[0]))
+    try:
+        factor = sparsela.KKTFactor(op, meas)
+    except sparsela.SolveError as exc:
+        raise sparsela.RankDeficiencyError(f"global basis build: {exc}") from exc
+    coarse_ids = np.arange(meas.shape[0])
+    for k, i in enumerate(indices):
+        block[k] = _solve_basis(op, meas, coarse_ids, i, None, factor)
+    return block
 
 
 def compute_basis(op: sp.csr_matrix, meas: sp.csr_matrix, mesh: Mesh,
@@ -105,25 +112,31 @@ def compute_basis(op: sp.csr_matrix, meas: sp.csr_matrix, mesh: Mesh,
 def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
                   mesh: Mesh, indices) -> CoarseSpace:
     """Recompute the selected bases against a new operator, keep the rest."""
+    indices = np.fromiter(indices, dtype=int)
     keep = np.ones(space.n_basis, dtype=bool)
+    keep[indices] = False
     patches = list(space.patches)
-    rows, cols, vals = [], [], []
-    for i in indices:
-        patches[i], nodes_pos, x = _solve_basis(
-            op, meas, mesh, i, space.layers, patches[i]
-        )
-        rows.append(np.full(x.size, i))
-        cols.append(nodes_pos)
-        vals.append(x)
-        keep[i] = False
+    n = op.shape[0]
+    if space.layers is None and indices.size:
+        vals = _global_bases(op, meas, indices).ravel()
+        rows, cols = np.repeat(indices, n), np.tile(np.arange(n), indices.size)
+    elif indices.size:
+        rows, cols, vals = [], [], []
+        for i in indices:
+            if patches[i] is None:
+                patches[i] = build_patch(mesh, i, space.layers)
+            pos = mesh.free_pos[patches[i].interior_fine_nodes]
+            ids = patches[i].elements
+            vals.append(_solve_basis(op[pos][:, pos].tocsr(), meas[ids][:, pos].tocsr(),
+                                     ids, i, space.layers))
+            rows.append(np.full(pos.size, i))
+            cols.append(pos)
+        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
     # rows not rebuilt are kept as they are, the rebuilt ones zeroed and
     # replaced by their new triplets
     basis = sp.diags(keep.astype(float)) @ space.basis
-    if vals:
-        basis = basis + sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=basis.shape,
-        )
+    if indices.size:
+        basis = basis + sp.csr_matrix((vals, (rows, cols)), shape=basis.shape)
     return replace(space, basis=basis.tocsr(), patches=patches)
 
 

@@ -280,8 +280,10 @@ def line_search(problem: Problem, state: fem.FemState, w_free: np.ndarray,
         raise LineSearchError("not a descent direction")
     j0 = problem.energy(state)
 
+    # a long trial step may overflow to an infinite J, which the search rejects
     def energy_at(alpha: float) -> float:
-        return problem.energy(problem.stepped(state, alpha, w_free))
+        with np.errstate(over="ignore"):
+            return problem.energy(problem.stepped(state, alpha, w_free))
 
     lam = math.nan
     if mode == "none":
@@ -369,7 +371,8 @@ def estimate_cn(problem: Problem, state: fem.FemState, w0_free: np.ndarray,
     # log(c A(w0, w0) / quasi-norm) at c = exp(x): increasing in x, and close
     # to linear away from the root, where a power of c dominates the quasi-norm
     def log_ratio(x: float) -> float:
-        q = float(areas @ (kv * nfunc.ddphi(problem.nf, su + wn / math.exp(x)) * wn ** 2))
+        with np.errstate(all="ignore"):      # an overflow brackets no root
+            q = float(areas @ (kv * nfunc.ddphi(problem.nf, su + wn / math.exp(x)) * wn ** 2))
         return x + math.log(lhs_unit) - math.log(q)
 
     # the quadratic case balances exactly at c = 1, return it without
@@ -379,7 +382,7 @@ def estimate_cn(problem: Problem, state: fem.FemState, w0_free: np.ndarray,
         return 1.0
     x_end = math.log(1e-6) if g1 > 0 else math.log(1e12)
     g_end = log_ratio(x_end)
-    if g_end * g1 > 0:
+    if not math.isfinite(g1 + g_end) or g_end * g1 > 0:
         raise ValueError("bracketing failure in scaling-constant estimate")
     return math.exp(_brent_root(log_ratio, x_end, g_end, 0.0, g1, CN_LOG_TOL))
 

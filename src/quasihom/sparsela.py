@@ -4,7 +4,9 @@ SPD systems go through a direct sparse factorization (``factorized_spd``)
 that returns a solve closure for repeated right-hand sides. Saddle systems
 (equality-constrained quadratic minimization) are solved by a direct
 factorization of the KKT matrix; the normwise backward error of both blocks
-is checked after the solve.
+is checked after every solve. Systems that differ only in their right-hand
+sides, such as the global coarse bases, can share one ``KKTFactor`` and
+still make one checked ``solve_saddle`` call each.
 
 Every matrix factored here is symmetric, so both factorizations use one
 symmetric setting of SuperLU (``SYMMETRIC_LU``): a minimum-degree ordering
@@ -57,12 +59,28 @@ def factorized_spd(a):
     return lu.solve
 
 
+class KKTFactor:
+    """The factored KKT matrix [[A, B'], [B, 0]] of A and B, kept as CSR
+    blocks with their Frobenius norms for the backward-error check."""
+
+    def __init__(self, a, b):
+        self.a, self.b = sp.csr_matrix(a), sp.csr_matrix(b)
+        kkt = sp.bmat([[self.a, self.b.T], [self.b, None]], format="csc")
+        try:
+            self.lu = spla.splu(kkt, **SYMMETRIC_LU)
+        except RuntimeError as exc:
+            raise RankDeficiencyError(f"singular KKT system: {exc}") from exc
+        # Frobenius norms from the stored entries (spla.norm costs 100x more)
+        self.norm_a, self.norm_b = np.linalg.norm(self.a.data), np.linalg.norm(self.b.data)
+
+
 @dataclass
 class SaddleSystem:
     a: sp.spmatrix                 # n x n, SPD on ker(b)
     b: sp.spmatrix                 # m x n constraints
     rhs_primal: np.ndarray
     rhs_constraint: np.ndarray
+    factor: KKTFactor | None = None    # of a and b; factored per solve if None
 
 
 def solve_saddle(system: SaddleSystem):
@@ -71,10 +89,10 @@ def solve_saddle(system: SaddleSystem):
     The KKT matrix is factored without threshold pivoting, so the normwise
     backward error of both blocks is checked: ConvergenceError when
     |Ax + B'lam - f| / (|A|_F |x| + |B|_F |lam| + |f|) or
-    |Bx - g| / (|B|_F |x| + |g|) exceeds 1e-8.
+    |Bx - g| / (|B|_F |x| + |g|) exceeds 1e-8, also against a shared ``factor``.
     """
-    a = sp.csr_matrix(system.a)
-    b = sp.csr_matrix(system.b)
+    kkt = system.factor
+    a, b = (system.a, system.b) if kkt is None else (kkt.a, kkt.b)
     f = np.asarray(system.rhs_primal, dtype=float)
     g = np.asarray(system.rhs_constraint, dtype=float)
     n = a.shape[0]
@@ -86,26 +104,21 @@ def solve_saddle(system: SaddleSystem):
     if m > n:
         raise RankDeficiencyError(f"more constraints ({m}) than unknowns ({n})")
 
-    kkt = sp.bmat([[a, b.T], [b, None]], format="csc")
-    rhs = np.concatenate([f, g])
-    try:
-        lu = spla.splu(kkt, **SYMMETRIC_LU)
-    except RuntimeError as exc:
-        raise RankDeficiencyError(f"singular KKT system: {exc}") from exc
-    sol = lu.solve(rhs)
+    if kkt is None:
+        kkt = KKTFactor(a, b)
+    a, b = kkt.a, kkt.b
+    sol = kkt.lu.solve(np.concatenate([f, g]))
     if not np.all(np.isfinite(sol)):
         raise RankDeficiencyError("KKT solve produced non-finite values")
     x = sol[:n]
     lam = sol[n:]
 
-    # Frobenius norms from the stored entries (spla.norm costs 100x more);
     # a zero scale comes with a zero residual
     norm, tiny = np.linalg.norm, np.finfo(float).tiny
-    norm_a, norm_b = norm(a.data), norm(b.data)
     err = max(
         norm(a @ x + b.T @ lam - f)
-        / max(norm_a * norm(x) + norm_b * norm(lam) + norm(f), tiny),
-        norm(b @ x - g) / max(norm_b * norm(x) + norm(g), tiny),
+        / max(kkt.norm_a * norm(x) + kkt.norm_b * norm(lam) + norm(f), tiny),
+        norm(b @ x - g) / max(kkt.norm_b * norm(x) + norm(g), tiny),
     )
     if err > 1e-8:
         raise ConvergenceError("KKT backward error too large", err)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from quasihom import coeff, nfunc, solvers
 from quasihom.mesh import build_coarse_mesh, refine
@@ -38,3 +39,21 @@ def random_state(problem, rng, scale=0.1):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240915)
+
+
+@pytest.fixture
+def perturb_splu(monkeypatch):
+    """Call it to make every later spla.splu factor solve with a relative
+    error of 1e-6, far above the 1e-8 backward-error threshold."""
+    splu = spla.splu
+    noise = np.random.default_rng(2)
+
+    class Perturbed:
+        def __init__(self, *args, **kwargs):
+            self.lu = splu(*args, **kwargs)
+
+        def solve(self, rhs):
+            x = self.lu.solve(rhs)
+            return x * (1.0 + 1e-6 * noise.choice([-1.0, 1.0], x.size))
+
+    return lambda: monkeypatch.setattr(spla, "splu", Perturbed)

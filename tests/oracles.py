@@ -5,8 +5,9 @@ the Bregman distance and the scalar update indicator only state the paper's
 quantities in their plainest form, so that the vectorized library code can
 be compared with them. The GRPS interpolation is what the optimal-recovery
 tests check the coarse bases with. The per-element gradient gather is the
-plain form of the library's cached gradient operator, and the log-scale
-bisection the plain form of the library's root search for c_tilde.
+plain form of the library's cached gradient operator, the log-scale
+bisection the plain form of the library's root search for c_tilde, and one
+KKT factorization per global basis the plain form of the shared one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import quad
 
-from quasihom import fem, nfunc, solvers
+from quasihom import fem, nfunc, solvers, sparsela
 from quasihom.coeff import ElementCoefficients
 from quasihom.fem import FemState
 
@@ -74,6 +75,20 @@ def interpolate(w: np.ndarray, space, meas: sp.csr_matrix) -> np.ndarray:
     """w_I = sum_i (int psi_i w) phi_i over free nodes, for a grps.CoarseSpace
     `space` and the measurement matrix `meas`."""
     return space.basis.T @ (meas @ w)
+
+
+def global_basis_per_row(op: sp.csr_matrix, meas: sp.csr_matrix,
+                         indices) -> np.ndarray:
+    """Rows `indices` of the global basis, each its own KKT factorization and
+    solve: minimize the op-energy subject to meas @ x = e_i."""
+    rows = []
+    for i in indices:
+        e_i = np.zeros(meas.shape[0])
+        e_i[i] = 1.0
+        x, _ = sparsela.solve_saddle(
+            sparsela.SaddleSystem(op, meas, np.zeros(op.shape[0]), e_i))
+        rows.append(x)
+    return np.array(rows)
 
 
 def update_indicator(op_incr: sp.csr_matrix, basis_vec: np.ndarray) -> float:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from quasihom import coeff, fem, grps, nfunc
+from quasihom import coeff, fem, grps, nfunc, sparsela
 from quasihom.grps import (
     CoarseSpace,
     build_measurements,
@@ -14,7 +15,7 @@ from quasihom.grps import (
 from quasihom.mesh import build_coarse_mesh, build_patch, refine
 
 from conftest import make_problem, random_state
-from oracles import interpolate, update_indicator
+from oracles import global_basis_per_row, interpolate, update_indicator
 
 
 def _p2_operator(pr):
@@ -279,11 +280,59 @@ def test_refresh_reuses_held_patches(monkeypatch):
     assert np.array_equal(space1.basis.toarray(), space0.basis.toarray())
 
 
-def test_degenerate_single_refinement_raises():
-    # one refinement level leaves too few interior nodes per constraint
-    from quasihom.sparsela import RankDeficiencyError
+def test_degenerate_single_refinement_raises(monkeypatch):
+    # one refinement level leaves too few interior nodes per constraint: the
+    # one shared factorization of the global KKT fails before any basis is
+    # solved, and the error names the global build
     pr = make_problem(2, 1, p=2.0)
     op = _p2_operator(pr)
     meas = build_measurements(pr.mesh)
-    with pytest.raises(RankDeficiencyError):
+    calls = []
+    solve = sparsela.solve_saddle
+    monkeypatch.setattr(sparsela, "solve_saddle", lambda s: calls.append(s) or solve(s))
+    with pytest.raises(sparsela.RankDeficiencyError, match="global basis build: singular"):
         compute_basis(op, meas, pr.mesh, layers=None)
+    assert calls == []
+
+
+def test_global_bases_bitwise_equal_to_per_basis_factorizations(rng):
+    pr = make_problem(2, 2, p=5.0, kind="mstrig")
+    meas = build_measurements(pr.mesh)
+    op0 = pr.operator(pr.state(), "pgd")
+    space0 = compute_basis(op0, meas, pr.mesh, layers=None)
+    assert np.array_equal(space0.basis.toarray(),
+                          global_basis_per_row(op0, meas, range(meas.shape[0])))
+    op1 = pr.operator(random_state(pr, rng), "newton")
+    sel = [6, 1, 3]
+    space1 = refresh_basis(space0, op1, meas, pr.mesh, sel)
+    dense = space1.basis.toarray()
+    assert np.array_equal(dense[sel], global_basis_per_row(op1, meas, sel))
+    kept = np.setdiff1d(np.arange(meas.shape[0]), sel)
+    assert np.array_equal(dense[kept], space0.basis.toarray()[kept])
+
+
+@pytest.mark.parametrize("indices", [None, [5, 0], []])
+def test_global_build_factors_once(indices, monkeypatch):
+    pr = make_problem(2, 2, p=2.0, kind="mstrig")
+    op = _p2_operator(pr)
+    meas = build_measurements(pr.mesh)
+    factors, solves = [], []
+    splu, solve = spla.splu, sparsela.solve_saddle
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: factors.append(a) or splu(*a, **k))
+    monkeypatch.setattr(sparsela, "solve_saddle", lambda s: solves.append(s) or solve(s))
+    compute_basis(op, meas, pr.mesh, layers=None, indices=indices)
+    n = meas.shape[0] if indices is None else len(indices)
+    assert len(factors) == (1 if n else 0)
+    assert len(solves) == n
+    assert all(s.factor is solves[0].factor is not None for s in solves)
+
+
+def test_global_build_inaccurate_solve_raises(perturb_splu):
+    # every basis keeps its backward-error check against the shared factor
+    pr = make_problem(2, 2, p=2.0, kind="mstrig")
+    op = _p2_operator(pr)
+    meas = build_measurements(pr.mesh)
+    perturb_splu()
+    with pytest.raises(sparsela.RankDeficiencyError, match=r"basis 0 \(layers=None\)") as info:
+        compute_basis(op, meas, pr.mesh, layers=None)
+    assert isinstance(info.value.__cause__, sparsela.ConvergenceError)

@@ -212,6 +212,20 @@ def test_estimate_cn_bracketing_failure(kappa, rng):
             estimate(pr, st, w0, op)
 
 
+def test_estimate_cn_overflow_is_bracketing_failure():
+    # p = 20 from a state of scale 1e-3: the Newton direction is about 1e31,
+    # so phi'' overflows at the c = 1e-6 end of the bracket (and J at the
+    # first trial step of the line search); warnings are errors here
+    pr = make_problem(4, 2, p=20.0, kind="mstrig", nf_kind="power")
+    st = random_state(pr, np.random.default_rng(0), scale=1e-3)
+    op = pr.operator(st, "newton")
+    w0 = sparsela.factorized_spd(op)(-pr.residual(st))
+    with pytest.raises(ValueError, match="bracketing failure"):
+        solvers.estimate_cn(pr, st, w0, op)
+    report = solvers.solve(pr, SolverConfig(max_iters=2), u0=st)
+    assert math.isnan(report.records[0].c_tilde)
+
+
 def test_energy_quasinorm_and_cn_skip_three_output_eval(rng, monkeypatch):
     pr = make_problem(4, 2, p=5.0, kind="mstrig")
     st = random_state(pr, rng, scale=0.3)

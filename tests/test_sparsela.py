@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from quasihom import coeff, fem, grps
 from quasihom.mesh import build_coarse_mesh, build_patch, refine
 from quasihom.sparsela import (
     ConvergenceError,
+    KKTFactor,
     RankDeficiencyError,
     SaddleSystem,
     factorized_spd,
@@ -213,21 +213,14 @@ def test_saddle_random_contrast_patches_pass_backward_error_check(nc, level):
         _assert_matches_dense(*_patch_kkt(mesh, op, meas, i))
 
 
-def test_saddle_inaccurate_solve_raises(monkeypatch):
+def test_saddle_inaccurate_solve_raises(perturb_splu):
     mesh, op, meas = _random_contrast(4, 3)
     system = SaddleSystem(*_patch_kkt(mesh, op, meas, 0))
     solve_saddle(system)
-    splu = spla.splu
-    noise = np.random.default_rng(2)
-
-    class Perturbed:
-        def __init__(self, *args, **kwargs):
-            self.lu = splu(*args, **kwargs)
-
-        def solve(self, rhs):
-            x = self.lu.solve(rhs)
-            return x * (1.0 + 1e-6 * noise.choice([-1.0, 1.0], x.size))
-
-    monkeypatch.setattr(spla, "splu", Perturbed)
+    perturb_splu()
     with pytest.raises(ConvergenceError):
         solve_saddle(system)
+    shared = KKTFactor(system.a, system.b)
+    for g in np.eye(system.b.shape[0])[:3]:
+        with pytest.raises(ConvergenceError):
+            solve_saddle(SaddleSystem(system.a, system.b, system.rhs_primal, g, shared))
