@@ -3,9 +3,10 @@
 Each basis minimizes the energy norm of the current linearized operator
 subject to biorthogonality against the coarse-element indicator functions
 (one constraint per coarse triangle, a row of the measurement matrix).
-Global bases share one KKT matrix, so a global build factors it once and
-makes one checked saddle solve per basis; localized bases each factor their
-element patch's problem. An update indicator lets the nonlinear driver skip
+Bases on the same patch share one KKT matrix, so a build factors it once
+per distinct patch and makes one checked saddle solve per basis; a global
+space is the one patch that covers every free node and coarse element. An
+update indicator lets the nonlinear driver skip
 recomputation of bases whose operator coefficients barely changed. The
 interpolation built on these bases is a test oracle (``tests/oracles.py``):
 no solver step uses it.
@@ -59,37 +60,28 @@ def build_measurements(mesh: Mesh) -> sp.csr_matrix:
     return full[:, mesh.free_nodes].tocsr()
 
 
-def _solve_basis(a: sp.csr_matrix, b: sp.csr_matrix, coarse_ids: np.ndarray,
-                 i: int, layers: int | None, factor=None) -> np.ndarray:
-    """Basis i: one checked saddle solve on the operator block `a` and the
-    measurement rows `coarse_ids` (block `b`), against `factor` if given."""
-    rhs_c = np.zeros(coarse_ids.size)
-    rhs_c[np.searchsorted(coarse_ids, i)] = 1.0
+def _solve_patch(op: sp.csr_matrix, meas: sp.csr_matrix, ids: np.ndarray,
+                 pos: np.ndarray, bases: np.ndarray, outs: list[np.ndarray],
+                 layers: int | None) -> None:
+    """Solve the bases `bases` of one patch (coarse elements `ids`, free-node
+    positions `pos`) into `outs`: one KKT factorization, dropped on return,
+    and one checked saddle solve per basis."""
+    a, b = op[pos][:, pos].tocsr(), meas[ids][:, pos].tocsr()
     try:
-        x, _ = sparsela.solve_saddle(
-            sparsela.SaddleSystem(a, b, np.zeros(a.shape[0]), rhs_c, factor)
-        )
+        factor = sparsela.KKTFactor(a, b)
     except sparsela.SolveError as exc:
-        raise sparsela.RankDeficiencyError(
-            f"basis {i} (layers={layers}): {exc}"
-        ) from exc
-    return x
-
-
-def _global_bases(op: sp.csr_matrix, meas: sp.csr_matrix,
-                  indices: np.ndarray) -> np.ndarray:
-    """Rows `indices` of the global basis. They share one KKT matrix, factored
-    once; the block is allocated first and the factor dropped on return,
-    which keeps the peak heap flat."""
-    block = np.empty((indices.size, op.shape[0]))
-    try:
-        factor = sparsela.KKTFactor(op, meas)
-    except sparsela.SolveError as exc:
-        raise sparsela.RankDeficiencyError(f"global basis build: {exc}") from exc
-    coarse_ids = np.arange(meas.shape[0])
-    for k, i in enumerate(indices):
-        block[k] = _solve_basis(op, meas, coarse_ids, i, None, factor)
-    return block
+        where = ("global basis build" if layers is None
+                 else f"bases {bases.tolist()} (layers={layers})")
+        raise sparsela.RankDeficiencyError(f"{where}: {exc}") from exc
+    for i, out in zip(bases, outs):
+        rhs_c = np.zeros(ids.size)
+        rhs_c[np.searchsorted(ids, i)] = 1.0
+        try:
+            out[:], _ = sparsela.solve_saddle(
+                sparsela.SaddleSystem(a, b, np.zeros(pos.size), rhs_c, factor))
+        except sparsela.SolveError as exc:
+            raise sparsela.RankDeficiencyError(
+                f"basis {i} (layers={layers}): {exc}") from exc
 
 
 def compute_basis(op: sp.csr_matrix, meas: sp.csr_matrix, mesh: Mesh,
@@ -111,31 +103,40 @@ def compute_basis(op: sp.csr_matrix, meas: sp.csr_matrix, mesh: Mesh,
 
 def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
                   mesh: Mesh, indices) -> CoarseSpace:
-    """Recompute the selected bases against a new operator, keep the rest."""
+    """Recompute the selected bases against a new operator, keep the rest.
+
+    Selected bases whose patches have the same elements share one KKT
+    factorization; a global space is one patch over the whole problem.
+    """
     indices = np.fromiter(indices, dtype=int)
-    keep = np.ones(space.n_basis, dtype=bool)
-    keep[indices] = False
     patches = list(space.patches)
-    n = op.shape[0]
-    if space.layers is None and indices.size:
-        vals = _global_bases(op, meas, indices).ravel()
-        rows, cols = np.repeat(indices, n), np.tile(np.arange(n), indices.size)
-    elif indices.size:
-        rows, cols, vals = [], [], []
+    if space.layers is None:
+        support = [(np.arange(meas.shape[0]), np.arange(op.shape[0]))] * indices.size
+    else:
         for i in indices:
             if patches[i] is None:
                 patches[i] = build_patch(mesh, i, space.layers)
-            pos = mesh.free_pos[patches[i].interior_fine_nodes]
-            ids = patches[i].elements
-            vals.append(_solve_basis(op[pos][:, pos].tocsr(), meas[ids][:, pos].tocsr(),
-                                     ids, i, space.layers))
-            rows.append(np.full(pos.size, i))
-            cols.append(pos)
-        rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+        support = [(patches[i].elements, mesh.free_pos[patches[i].interior_fine_nodes])
+                   for i in indices]
+    groups: dict[bytes, list[int]] = {}     # patch elements -> positions in indices
+    for k, (ids, _) in enumerate(support):
+        groups.setdefault(ids.tobytes(), []).append(k)
+    # every rebuilt row is written into one block of (vals, rows, cols) triplets
+    sizes = np.array([pos.size for _, pos in support], dtype=int)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    vals = np.empty(offsets[-1])
+    for ks in groups.values():
+        ids, pos = support[ks[0]]
+        _solve_patch(op, meas, ids, pos, indices[ks],
+                     [vals[offsets[k]:offsets[k + 1]] for k in ks], space.layers)
     # rows not rebuilt are kept as they are, the rebuilt ones zeroed and
     # replaced by their new triplets
+    keep = np.ones(space.n_basis, dtype=bool)
+    keep[indices] = False
     basis = sp.diags(keep.astype(float)) @ space.basis
     if indices.size:
+        rows = np.repeat(indices, sizes)
+        cols = np.concatenate([pos for _, pos in support])
         basis = basis + sp.csr_matrix((vals, (rows, cols)), shape=basis.shape)
     return replace(space, basis=basis.tocsr(), patches=patches)
 

@@ -130,10 +130,15 @@ class Problem:
         return fem.FemState(self.mesh, u)
 
     def energy(self, state: fem.FemState) -> float:
-        return fem.energy(state, self.kappa, self.nf, self.load)
+        """J(u); +inf, without a warning, where phi overflows."""
+        with np.errstate(over="ignore"):
+            return fem.energy(state, self.kappa, self.nf, self.load)
 
     def residual(self, state: fem.FemState) -> np.ndarray:
-        return fem.residual(state, self.kappa, self.nf, self.load)
+        """J'(u) over free nodes; non-finite, without a warning, where phi'
+        overflows (an infinite flux times a zero gradient is nan)."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return fem.residual(state, self.kappa, self.nf, self.load)
 
     def operator(self, state: fem.FemState, mode: str) -> sp.csr_matrix:
         return fem.assemble_linearized(state, self.kappa, self.nf, mode)
@@ -230,9 +235,21 @@ def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig
     return w, converged
 
 
-def _bracket_and_golden(f, f0: float) -> float:
+def _bracket_and_golden(objective, f0: float) -> float:
     """Derivative-free 1-d minimization: shrink to find decrease, double to
-    bracket, then golden-section to the requested relative width."""
+    bracket, then golden-section to the requested relative width.
+
+    A non-finite value counts as +inf, so it is never a decrease, and a
+    non-finite f0 (a non-finite residual penalty weight, say) leaves nothing
+    to decrease from.
+    """
+    if not math.isfinite(f0):
+        raise LineSearchError("non-finite value at alpha = 0")
+
+    def f(t: float) -> float:
+        ft = objective(t)
+        return ft if math.isfinite(ft) else math.inf
+
     t = 1.0
     ft = f(t)
     while ft >= f0:
@@ -282,8 +299,7 @@ def line_search(problem: Problem, state: fem.FemState, w_free: np.ndarray,
 
     # a long trial step may overflow to an infinite J, which the search rejects
     def energy_at(alpha: float) -> float:
-        with np.errstate(over="ignore"):
-            return problem.energy(problem.stepped(state, alpha, w_free))
+        return problem.energy(problem.stepped(state, alpha, w_free))
 
     lam = math.nan
     if mode == "none":

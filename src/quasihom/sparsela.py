@@ -5,7 +5,7 @@ that returns a solve closure for repeated right-hand sides. Saddle systems
 (equality-constrained quadratic minimization) are solved by a direct
 factorization of the KKT matrix; the normwise backward error of both blocks
 is checked after every solve. Systems that differ only in their right-hand
-sides, such as the global coarse bases, can share one ``KKTFactor`` and
+sides, such as the coarse bases of one patch, share one ``KKTFactor`` and
 still make one checked ``solve_saddle`` call each.
 
 Every matrix factored here is symmetric, so both factorizations use one
@@ -65,6 +65,9 @@ class KKTFactor:
 
     def __init__(self, a, b):
         self.a, self.b = sp.csr_matrix(a), sp.csr_matrix(b)
+        m, n = self.b.shape
+        if m > n:
+            raise RankDeficiencyError(f"more constraints ({m}) than unknowns ({n})")
         kkt = sp.bmat([[self.a, self.b.T], [self.b, None]], format="csc")
         try:
             self.lu = spla.splu(kkt, **SYMMETRIC_LU)
@@ -101,9 +104,6 @@ def solve_saddle(system: SaddleSystem):
         raise ValueError("saddle system shape mismatch")
     if m == 0:
         return factorized_spd(a)(f), np.zeros(0)
-    if m > n:
-        raise RankDeficiencyError(f"more constraints ({m}) than unknowns ({n})")
-
     if kkt is None:
         kkt = KKTFactor(a, b)
     a, b = kkt.a, kkt.b

@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from quasihom import coeff, nfunc, solvers
+from quasihom import coeff, nfunc, solvers, sparsela
 from quasihom.mesh import build_coarse_mesh, refine
 
 
@@ -57,3 +59,20 @@ def perturb_splu(monkeypatch):
             return x * (1.0 + 1e-6 * noise.choice([-1.0, 1.0], x.size))
 
     return lambda: monkeypatch.setattr(spla, "splu", Perturbed)
+
+
+@pytest.fixture
+def kkt_calls(monkeypatch):
+    """Call it to record every later spla.splu call (its positional
+    arguments, in `.factors`) and sparsela.solve_saddle call (its system, in
+    `.solves`) on the namespace it returns."""
+    def record():
+        calls = SimpleNamespace(factors=[], solves=[])
+        splu, solve = spla.splu, sparsela.solve_saddle
+        monkeypatch.setattr(spla, "splu",
+                            lambda *a, **k: calls.factors.append(a) or splu(*a, **k))
+        monkeypatch.setattr(sparsela, "solve_saddle",
+                            lambda s: calls.solves.append(s) or solve(s))
+        return calls
+
+    return record

@@ -7,7 +7,8 @@ be compared with them. The GRPS interpolation is what the optimal-recovery
 tests check the coarse bases with. The per-element gradient gather is the
 plain form of the library's cached gradient operator, the log-scale
 bisection the plain form of the library's root search for c_tilde, and one
-KKT factorization per global basis the plain form of the shared one.
+KKT factorization per basis the plain form of the one shared by every basis
+on a patch.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from scipy.integrate import quad
 from quasihom import fem, nfunc, solvers, sparsela
 from quasihom.coeff import ElementCoefficients
 from quasihom.fem import FemState
+from quasihom.mesh import build_patch
 
 
 def eval_shifted(nf: nfunc.NFunction, a: float, t: float) -> tuple[float, float]:
@@ -77,18 +79,23 @@ def interpolate(w: np.ndarray, space, meas: sp.csr_matrix) -> np.ndarray:
     return space.basis.T @ (meas @ w)
 
 
-def global_basis_per_row(op: sp.csr_matrix, meas: sp.csr_matrix,
-                         indices) -> np.ndarray:
-    """Rows `indices` of the global basis, each its own KKT factorization and
-    solve: minimize the op-energy subject to meas @ x = e_i."""
-    rows = []
-    for i in indices:
-        e_i = np.zeros(meas.shape[0])
-        e_i[i] = 1.0
-        x, _ = sparsela.solve_saddle(
-            sparsela.SaddleSystem(op, meas, np.zeros(op.shape[0]), e_i))
-        rows.append(x)
-    return np.array(rows)
+def basis_per_row(op: sp.csr_matrix, meas: sp.csr_matrix, indices,
+                  mesh=None, layers: int | None = None) -> np.ndarray:
+    """Rows `indices` of the coarse basis as dense free-node vectors, each
+    its own KKT factorization and solve: minimize the op-energy subject to
+    meas @ x = e_i, over the whole problem (layers=None) or over the
+    element patch of coarse element i on `mesh`."""
+    rows = np.zeros((len(indices), op.shape[0]))
+    for row, i in zip(rows, indices):
+        if layers is None:
+            ids, pos = np.arange(meas.shape[0]), np.arange(op.shape[0])
+        else:
+            patch = build_patch(mesh, i, layers)
+            ids, pos = patch.elements, mesh.free_pos[patch.interior_fine_nodes]
+        e_i = (ids == i).astype(float)
+        row[pos], _ = sparsela.solve_saddle(sparsela.SaddleSystem(
+            op[pos][:, pos].tocsr(), meas[ids][:, pos].tocsr(), np.zeros(pos.size), e_i))
+    return rows
 
 
 def update_indicator(op_incr: sp.csr_matrix, basis_vec: np.ndarray) -> float:

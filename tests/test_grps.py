@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from quasihom import coeff, fem, grps, nfunc, sparsela
 from quasihom.grps import (
@@ -15,7 +14,7 @@ from quasihom.grps import (
 from quasihom.mesh import build_coarse_mesh, build_patch, refine
 
 from conftest import make_problem, random_state
-from oracles import global_basis_per_row, interpolate, update_indicator
+from oracles import basis_per_row, interpolate, update_indicator
 
 
 def _p2_operator(pr):
@@ -280,19 +279,17 @@ def test_refresh_reuses_held_patches(monkeypatch):
     assert np.array_equal(space1.basis.toarray(), space0.basis.toarray())
 
 
-def test_degenerate_single_refinement_raises(monkeypatch):
+def test_degenerate_single_refinement_raises(kkt_calls):
     # one refinement level leaves too few interior nodes per constraint: the
     # one shared factorization of the global KKT fails before any basis is
     # solved, and the error names the global build
     pr = make_problem(2, 1, p=2.0)
     op = _p2_operator(pr)
     meas = build_measurements(pr.mesh)
-    calls = []
-    solve = sparsela.solve_saddle
-    monkeypatch.setattr(sparsela, "solve_saddle", lambda s: calls.append(s) or solve(s))
+    calls = kkt_calls()
     with pytest.raises(sparsela.RankDeficiencyError, match="global basis build: singular"):
         compute_basis(op, meas, pr.mesh, layers=None)
-    assert calls == []
+    assert calls.solves == []
 
 
 def test_global_bases_bitwise_equal_to_per_basis_factorizations(rng):
@@ -301,26 +298,24 @@ def test_global_bases_bitwise_equal_to_per_basis_factorizations(rng):
     op0 = pr.operator(pr.state(), "pgd")
     space0 = compute_basis(op0, meas, pr.mesh, layers=None)
     assert np.array_equal(space0.basis.toarray(),
-                          global_basis_per_row(op0, meas, range(meas.shape[0])))
+                          basis_per_row(op0, meas, range(meas.shape[0])))
     op1 = pr.operator(random_state(pr, rng), "newton")
     sel = [6, 1, 3]
     space1 = refresh_basis(space0, op1, meas, pr.mesh, sel)
     dense = space1.basis.toarray()
-    assert np.array_equal(dense[sel], global_basis_per_row(op1, meas, sel))
+    assert np.array_equal(dense[sel], basis_per_row(op1, meas, sel))
     kept = np.setdiff1d(np.arange(meas.shape[0]), sel)
     assert np.array_equal(dense[kept], space0.basis.toarray()[kept])
 
 
 @pytest.mark.parametrize("indices", [None, [5, 0], []])
-def test_global_build_factors_once(indices, monkeypatch):
+def test_global_build_factors_once(indices, kkt_calls):
     pr = make_problem(2, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
     meas = build_measurements(pr.mesh)
-    factors, solves = [], []
-    splu, solve = spla.splu, sparsela.solve_saddle
-    monkeypatch.setattr(spla, "splu", lambda *a, **k: factors.append(a) or splu(*a, **k))
-    monkeypatch.setattr(sparsela, "solve_saddle", lambda s: solves.append(s) or solve(s))
+    calls = kkt_calls()
     compute_basis(op, meas, pr.mesh, layers=None, indices=indices)
+    factors, solves = calls.factors, calls.solves
     n = meas.shape[0] if indices is None else len(indices)
     assert len(factors) == (1 if n else 0)
     assert len(solves) == n
@@ -336,3 +331,55 @@ def test_global_build_inaccurate_solve_raises(perturb_splu):
     with pytest.raises(sparsela.RankDeficiencyError, match=r"basis 0 \(layers=None\)") as info:
         compute_basis(op, meas, pr.mesh, layers=None)
     assert isinstance(info.value.__cause__, sparsela.ConvergenceError)
+
+
+def _shared_patch_groups(mesh, layers):
+    """Coarse elements grouped by the elements of their patch."""
+    groups = {}
+    for i in range(mesh.n_coarse_triangles):
+        groups.setdefault(build_patch(mesh, i, layers).elements.tobytes(), []).append(i)
+    return list(groups.values())
+
+
+def test_localized_bases_on_one_patch_share_a_factorization(rng, kkt_calls):
+    # 4 x 4 cells, 2 layers: 32 bases on 24 distinct patches
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    meas = build_measurements(pr.mesh)
+    op0 = pr.operator(random_state(pr, rng), "newton")
+    assert len(_shared_patch_groups(pr.mesh, 2)) == 24
+    calls = kkt_calls()
+    space0 = compute_basis(op0, meas, pr.mesh, layers=2)
+    assert len(calls.factors) == 24
+    assert len(calls.solves) == 32
+    assert np.array_equal(space0.basis.toarray(),
+                          basis_per_row(op0, meas, range(32), pr.mesh, 2))
+
+
+def test_refresh_of_one_shared_basis_rebuilds_only_its_row(rng, kkt_calls):
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    meas = build_measurements(pr.mesh)
+    space0 = compute_basis(pr.operator(pr.state(), "pgd"), meas, pr.mesh, layers=2)
+    i, j = next(g for g in _shared_patch_groups(pr.mesh, 2) if len(g) > 1)[:2]
+    op1 = pr.operator(random_state(pr, rng), "newton")
+    calls = kkt_calls()
+    space1 = refresh_basis(space0, op1, meas, pr.mesh, [i])
+    assert (len(calls.factors), len(calls.solves)) == (1, 1)
+    dense, dense0 = space1.basis.toarray(), space0.basis.toarray()
+    assert np.array_equal(dense[i], basis_per_row(op1, meas, [i], pr.mesh, 2)[0])
+    kept = np.arange(meas.shape[0]) != i
+    assert np.array_equal(dense[kept], dense0[kept])
+    assert not np.array_equal(dense[i], dense0[i])
+    assert np.array_equal(dense[j], dense0[j])
+
+
+def test_singular_shared_patch_kkt_names_its_bases():
+    # an operator of stored zeros makes the patch KKT matrix singular; the
+    # one factorization of the shared patch fails and names both bases
+    pr = make_problem(4, 2, p=2.0, kind="mstrig")
+    meas = build_measurements(pr.mesh)
+    group = next(g for g in _shared_patch_groups(pr.mesh, 2) if len(g) > 1)
+    op = _p2_operator(pr)
+    op.data[:] = 0.0
+    with pytest.raises(sparsela.RankDeficiencyError,
+                       match=rf"bases \[{group[0]}, {group[1]}\] \(layers=2\): singular"):
+        compute_basis(op, meas, pr.mesh, layers=2, indices=group[:2])

@@ -226,6 +226,34 @@ def test_estimate_cn_overflow_is_bracketing_failure():
     assert math.isnan(report.records[0].c_tilde)
 
 
+@pytest.mark.parametrize("mode, reason", [
+    # the central differences of the penalty weight overflow, so it is nan
+    ("residual_regularized", "line_search_failure: non-finite value at alpha = 0"),
+    # the full step overflows J, and the next iteration stops on it
+    ("none", "energy_nonfinite"),
+])
+def test_overflowing_step_stops_without_warning(mode, reason):
+    # the p = 20 state above; warnings are errors here
+    pr = make_problem(4, 2, p=20.0, kind="mstrig", nf_kind="power")
+    st = random_state(pr, np.random.default_rng(0), scale=1e-3)
+    report = solvers.solve(pr, SolverConfig(max_iters=2, line_search=mode), u0=st)
+    assert report.reason == reason
+    assert not report.converged
+    if mode == "none":
+        assert report.records[0].alpha == 1.0
+        assert math.isinf(report.records[1].energy)
+    else:
+        assert math.isnan(report.records[0].alpha)
+        assert np.array_equal(report.state.u, st.u)
+
+
+@pytest.mark.parametrize("value, f0", [(math.nan, 0.0), (math.inf, 0.0),
+                                       (-math.inf, 0.0), (-1.0, math.nan)])
+def test_bracket_takes_no_non_finite_decrease(value, f0):
+    with pytest.raises(LineSearchError):
+        solvers._bracket_and_golden(lambda t: value, f0)
+
+
 def test_energy_quasinorm_and_cn_skip_three_output_eval(rng, monkeypatch):
     pr = make_problem(4, 2, p=5.0, kind="mstrig")
     st = random_state(pr, rng, scale=0.3)
