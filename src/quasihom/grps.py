@@ -6,10 +6,10 @@ subject to biorthogonality against the coarse-element indicator functions
 Bases on the same patch share one KKT matrix, so a build factors it once
 per distinct patch and makes one checked saddle solve per basis; a global
 space is the one patch that covers every free node and coarse element. An
-update indicator lets the nonlinear driver skip
-recomputation of bases whose operator coefficients barely changed. The
-interpolation built on these bases is a test oracle (``tests/oracles.py``):
-no solver step uses it.
+update indicator lets the nonlinear driver skip recomputation of bases whose
+operator coefficients barely changed. The coarse Galerkin matrix is formed
+from dense column blocks of the basis. The interpolation built on these
+bases is a test oracle (``tests/oracles.py``): no solver step uses it.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import scipy.sparse as sp
 
 from . import sparsela
 from .mesh import Mesh, Patch, build_patch
+
+COARSE_BLOCK = 64     # bases per dense column block of the Galerkin matrix
 
 
 @dataclass
@@ -60,15 +62,18 @@ def build_measurements(mesh: Mesh) -> sp.csr_matrix:
     return full[:, mesh.free_nodes].tocsr()
 
 
-def _solve_patch(op: sp.csr_matrix, meas: sp.csr_matrix, ids: np.ndarray,
+def _solve_patch(kkt: sp.csc_matrix, n_free: int, ids: np.ndarray,
                  pos: np.ndarray, bases: np.ndarray, outs: list[np.ndarray],
                  layers: int | None) -> None:
     """Solve the bases `bases` of one patch (coarse elements `ids`, free-node
-    positions `pos`) into `outs`: one KKT factorization, dropped on return,
-    and one checked saddle solve per basis."""
-    a, b = op[pos][:, pos].tocsr(), meas[ids][:, pos].tocsr()
+    positions `pos`) into `outs`: one KKT factorization of the patch's
+    principal submatrix of the whole problem's KKT matrix `kkt`, dropped on
+    return, and one checked saddle solve per basis."""
+    sel = np.concatenate([pos, n_free + ids])
+    sub = kkt[:, sel][sel, :]
+    a, b = sub[:pos.size, :pos.size], sub[pos.size:, :pos.size]
     try:
-        factor = sparsela.KKTFactor(a, b)
+        factor = sparsela.KKTFactor(a, b, sub)
     except sparsela.SolveError as exc:
         where = ("global basis build" if layers is None
                  else f"bases {bases.tolist()} (layers={layers})")
@@ -106,9 +111,19 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
     """Recompute the selected bases against a new operator, keep the rest.
 
     Selected bases whose patches have the same elements share one KKT
-    factorization; a global space is one patch over the whole problem.
+    factorization; a global space is one patch over the whole problem. Each
+    patch KKT matrix is sliced from the KKT matrix of the whole problem,
+    assembled once per call. Repeated or out-of-range indices raise
+    ValueError before any patch is built.
     """
     indices = np.fromiter(indices, dtype=int)
+    bad = indices[(indices < 0) | (indices >= space.n_basis)]
+    if bad.size:
+        raise ValueError(f"basis indices out of range 0..{space.n_basis - 1}: "
+                         f"{bad.tolist()}")
+    uniq, counts = np.unique(indices, return_counts=True)
+    if np.any(counts > 1):
+        raise ValueError(f"repeated basis indices: {uniq[counts > 1].tolist()}")
     patches = list(space.patches)
     if space.layers is None:
         support = [(np.arange(meas.shape[0]), np.arange(op.shape[0]))] * indices.size
@@ -125,9 +140,10 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
     sizes = np.array([pos.size for _, pos in support], dtype=int)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     vals = np.empty(offsets[-1])
+    kkt = sp.bmat([[op, meas.T], [meas, None]], format="csc")
     for ks in groups.values():
         ids, pos = support[ks[0]]
-        _solve_patch(op, meas, ids, pos, indices[ks],
+        _solve_patch(kkt, op.shape[0], ids, pos, indices[ks],
                      [vals[offsets[k]:offsets[k + 1]] for k in ks], space.layers)
     # rows not rebuilt are kept as they are, the rebuilt ones zeroed and
     # replaced by their new triplets
@@ -141,14 +157,28 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
     return replace(space, basis=basis.tocsr(), patches=patches)
 
 
+def _galerkin_matrix(op: sp.csr_matrix, r: sp.csr_matrix) -> np.ndarray:
+    """The dense Galerkin matrix R A R', COARSE_BLOCK columns at a time.
+
+    Each block's basis rows are made dense (free nodes by bases, in C order
+    for the sparse products), multiplied by the operator and then by the
+    sparse basis, so no dense n_free x n_basis array is made. The dense
+    block is a temporary: at most two blocks are alive at a time.
+    """
+    n = r.shape[0]
+    a_c = np.empty((n, n))
+    for j in range(0, n, COARSE_BLOCK):
+        a_c[:, j:j + COARSE_BLOCK] = r @ (op @ np.ascontiguousarray(
+            r[j:j + COARSE_BLOCK].toarray().T))
+    return a_c
+
+
 def coarse_solve(op: sp.csr_matrix, rhs: np.ndarray,
                  space: CoarseSpace) -> np.ndarray:
     """Galerkin solve in the coarse space; returns a free-node vector."""
     r = space.basis
-    a_c = (r @ op @ r.T).toarray()
-    b_c = r @ rhs
     try:
-        y = np.linalg.solve(a_c, b_c)
+        y = np.linalg.solve(_galerkin_matrix(op, r), r @ rhs)
     except np.linalg.LinAlgError as exc:
         raise sparsela.RankDeficiencyError(f"singular coarse matrix: {exc}") from exc
     return r.T @ y

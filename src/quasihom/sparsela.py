@@ -61,14 +61,18 @@ def factorized_spd(a):
 
 class KKTFactor:
     """The factored KKT matrix [[A, B'], [B, 0]] of A and B, kept as CSR
-    blocks with their Frobenius norms for the backward-error check."""
+    blocks A, B and B' with the Frobenius norms of A and B for the
+    backward-error check. `kkt`, when given, is that matrix already
+    assembled (CSC), as sliced from a larger KKT matrix."""
 
-    def __init__(self, a, b):
+    def __init__(self, a, b, kkt=None):
         self.a, self.b = sp.csr_matrix(a), sp.csr_matrix(b)
         m, n = self.b.shape
         if m > n:
             raise RankDeficiencyError(f"more constraints ({m}) than unknowns ({n})")
-        kkt = sp.bmat([[self.a, self.b.T], [self.b, None]], format="csc")
+        self.bt = self.b.T.tocsr()
+        if kkt is None:
+            kkt = sp.bmat([[self.a, self.bt], [self.b, None]], format="csc")
         try:
             self.lu = spla.splu(kkt, **SYMMETRIC_LU)
         except RuntimeError as exc:
@@ -106,7 +110,7 @@ def solve_saddle(system: SaddleSystem):
         return factorized_spd(a)(f), np.zeros(0)
     if kkt is None:
         kkt = KKTFactor(a, b)
-    a, b = kkt.a, kkt.b
+    a, b, bt = kkt.a, kkt.b, kkt.bt
     sol = kkt.lu.solve(np.concatenate([f, g]))
     if not np.all(np.isfinite(sol)):
         raise RankDeficiencyError("KKT solve produced non-finite values")
@@ -116,7 +120,7 @@ def solve_saddle(system: SaddleSystem):
     # a zero scale comes with a zero residual
     norm, tiny = np.linalg.norm, np.finfo(float).tiny
     err = max(
-        norm(a @ x + b.T @ lam - f)
+        norm(a @ x + bt @ lam - f)
         / max(kkt.norm_a * norm(x) + kkt.norm_b * norm(lam) + norm(f), tiny),
         norm(b @ x - g) / max(kkt.norm_b * norm(x) + norm(g), tiny),
     )

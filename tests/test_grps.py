@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -383,3 +385,87 @@ def test_singular_shared_patch_kkt_names_its_bases():
     with pytest.raises(sparsela.RankDeficiencyError,
                        match=rf"bases \[{group[0]}, {group[1]}\] \(layers=2\): singular"):
         compute_basis(op, meas, pr.mesh, layers=2, indices=group[:2])
+
+
+@pytest.mark.parametrize("indices, match", [
+    ([2, 2], r"repeated basis indices: \[2\]"),
+    ([0, 3, 5, 3, 0], r"repeated basis indices: \[0, 3\]"),
+    ([-1, 4], r"out of range 0\.\.17: \[-1\]"),
+    ([4, 18], r"out of range 0\.\.17: \[18\]"),
+])
+def test_refresh_rejects_bad_indices_before_building(indices, match, monkeypatch,
+                                                     kkt_calls):
+    # a repeated index used to double its row, a negative one failed only
+    # after every factorization
+    pr = make_problem(3, 2, p=2.0, kind="mstrig")
+    op = _p2_operator(pr)
+    meas = build_measurements(pr.mesh)
+    empty = CoarseSpace(sp.csr_matrix((meas.shape[0], op.shape[0])), 2,
+                        [None] * meas.shape[0])
+    patches = []
+    monkeypatch.setattr(grps, "build_patch",
+                        lambda *a: patches.append(a) or build_patch(*a))
+    calls = kkt_calls()
+    with pytest.raises(ValueError, match=match):
+        refresh_basis(empty, op, meas, pr.mesh, indices)
+    assert patches == [] and calls.factors == []
+
+
+@pytest.mark.parametrize("layers", [2, None])
+def test_patch_kkt_slice_equals_assembled_blocks(layers, kkt_calls):
+    # the KKT matrix factored for a patch, sliced from the whole problem's,
+    # has the arrays of the one assembled from the patch's own blocks, so
+    # its factorization is the same (own generator: the session stream that
+    # later tests draw from stays as it was)
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    mesh = pr.mesh
+    op = pr.operator(random_state(pr, np.random.default_rng(9)), "newton")
+    meas = build_measurements(mesh)
+    i = 9
+    if layers is None:
+        ids, pos = np.arange(meas.shape[0]), np.arange(op.shape[0])
+    else:
+        patch = build_patch(mesh, i, layers)
+        ids, pos = patch.elements, mesh.free_pos[patch.interior_fine_nodes]
+    a, b = op[pos][:, pos].tocsr(), meas[ids][:, pos].tocsr()
+    want = sp.bmat([[a, b.T], [b, None]], format="csc")
+    calls = kkt_calls()
+    compute_basis(op, meas, mesh, layers=layers, indices=[i])
+    (got,), = calls.factors
+    assert got.format == "csc" and got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_blocked_galerkin_matrix_matches_dense():
+    # 72 global bases: one full block of 64 and a partial one of 8
+    pr = make_problem(6, 2, p=5.0, kind="mstrig")
+    op = pr.operator(pr.state(), "newton")
+    meas = build_measurements(pr.mesh)
+    space = compute_basis(op, meas, pr.mesh, layers=None)
+    assert grps.COARSE_BLOCK < space.n_basis < 2 * grps.COARSE_BLOCK
+    r = space.basis.toarray()
+    dense = r @ op.toarray() @ r.T
+    a_c = grps._galerkin_matrix(op, space.basis)
+    assert np.linalg.norm(a_c - dense) <= 1e-12 * np.linalg.norm(dense)
+
+
+def test_coarse_solve_never_densifies_the_whole_basis():
+    # a random sparse basis of 6 blocks over a 1D Laplacian on 16,000 nodes:
+    # a dense n_free x n_basis array alone would be about 49 MB
+    n, n_basis = 16_000, 6 * grps.COARSE_BLOCK
+    op = sp.diags([-np.ones(n - 1), 2.0 * np.ones(n), -np.ones(n - 1)],
+                  [-1, 0, 1], format="csr")
+    r = sp.random(n_basis, n, density=0.005, format="csr",
+                  rng=np.random.default_rng(3))
+    space = CoarseSpace(basis=r, layers=None, patches=[None] * n_basis)
+    rhs = np.ones(n)
+    full = n * n_basis * 8
+    tracemalloc.start()
+    try:
+        coarse_solve(op, rhs, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * full

@@ -159,8 +159,8 @@ def test_factorized_singular_neumann_laplacian_raises(n):
 
 
 def _patch_kkt(mesh, op, meas, i):
-    """KKT blocks of the 1-layer localized basis of coarse element i, as in
-    grps._solve_patch: operator and constraint rows sliced to the patch."""
+    """KKT blocks of the 1-layer localized basis of coarse element i: the
+    operator and constraint rows sliced to the patch."""
     patch = build_patch(mesh, i, 1)
     pos = mesh.free_pos[patch.interior_fine_nodes]
     g = np.zeros(patch.elements.size)
@@ -224,3 +224,17 @@ def test_saddle_inaccurate_solve_raises(perturb_splu):
     for g in np.eye(system.b.shape[0])[:3]:
         with pytest.raises(ConvergenceError):
             solve_saddle(SaddleSystem(system.a, system.b, system.rhs_primal, g, shared))
+
+
+def test_kkt_factor_stores_the_transposed_constraints(rng):
+    # the backward-error check multiplies by a stored CSR B', and a shared
+    # factor gives the same solution as a factorization per solve
+    mesh, op, meas = _random_contrast(4, 2)
+    a, b, f, g = _patch_kkt(mesh, op, meas, 3)
+    factor = KKTFactor(a, b)
+    assert factor.bt.format == "csr"
+    assert np.array_equal(factor.bt.toarray(), b.T.toarray())
+    f = rng.standard_normal(f.size)
+    x, lam = solve_saddle(SaddleSystem(a, b, f, g))
+    x_s, lam_s = solve_saddle(SaddleSystem(a, b, f, g, factor))
+    assert np.array_equal(x, x_s) and np.array_equal(lam, lam_s)
