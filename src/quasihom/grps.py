@@ -62,18 +62,15 @@ def build_measurements(mesh: Mesh) -> sp.csr_matrix:
     return full[:, mesh.free_nodes].tocsr()
 
 
-def _solve_patch(kkt: sp.csc_matrix, n_free: int, ids: np.ndarray,
+def _solve_patch(op: sp.csr_matrix, meas: sp.csr_matrix, ids: np.ndarray,
                  pos: np.ndarray, bases: np.ndarray, outs: list[np.ndarray],
                  layers: int | None) -> None:
     """Solve the bases `bases` of one patch (coarse elements `ids`, free-node
-    positions `pos`) into `outs`: one KKT factorization of the patch's
-    principal submatrix of the whole problem's KKT matrix `kkt`, dropped on
-    return, and one checked saddle solve per basis."""
-    sel = np.concatenate([pos, n_free + ids])
-    sub = kkt[:, sel][sel, :]
-    a, b = sub[:pos.size, :pos.size], sub[pos.size:, :pos.size]
+    positions `pos`) into `outs`: one KKT factorization, dropped on return,
+    and one checked saddle solve per basis."""
+    a, b = op[pos][:, pos].tocsr(), meas[ids][:, pos].tocsr()
     try:
-        factor = sparsela.KKTFactor(a, b, sub)
+        factor = sparsela.KKTFactor(a, b)
     except sparsela.SolveError as exc:
         where = ("global basis build" if layers is None
                  else f"bases {bases.tolist()} (layers={layers})")
@@ -111,10 +108,9 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
     """Recompute the selected bases against a new operator, keep the rest.
 
     Selected bases whose patches have the same elements share one KKT
-    factorization; a global space is one patch over the whole problem. Each
-    patch KKT matrix is sliced from the KKT matrix of the whole problem,
-    assembled once per call. Repeated or out-of-range indices raise
-    ValueError before any patch is built.
+    factorization; a global space is one patch over the whole problem.
+    Repeated or out-of-range indices raise ValueError before any patch is
+    built.
     """
     indices = np.fromiter(indices, dtype=int)
     bad = indices[(indices < 0) | (indices >= space.n_basis)]
@@ -140,10 +136,9 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
     sizes = np.array([pos.size for _, pos in support], dtype=int)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     vals = np.empty(offsets[-1])
-    kkt = sp.bmat([[op, meas.T], [meas, None]], format="csc")
     for ks in groups.values():
         ids, pos = support[ks[0]]
-        _solve_patch(kkt, op.shape[0], ids, pos, indices[ks],
+        _solve_patch(op, meas, ids, pos, indices[ks],
                      [vals[offsets[k]:offsets[k + 1]] for k in ks], space.layers)
     # rows not rebuilt are kept as they are, the rebuilt ones zeroed and
     # replaced by their new triplets

@@ -62,17 +62,15 @@ def factorized_spd(a):
 class KKTFactor:
     """The factored KKT matrix [[A, B'], [B, 0]] of A and B, kept as CSR
     blocks A, B and B' with the Frobenius norms of A and B for the
-    backward-error check. `kkt`, when given, is that matrix already
-    assembled (CSC), as sliced from a larger KKT matrix."""
+    backward-error check."""
 
-    def __init__(self, a, b, kkt=None):
+    def __init__(self, a, b):
         self.a, self.b = sp.csr_matrix(a), sp.csr_matrix(b)
         m, n = self.b.shape
         if m > n:
             raise RankDeficiencyError(f"more constraints ({m}) than unknowns ({n})")
         self.bt = self.b.T.tocsr()
-        if kkt is None:
-            kkt = sp.bmat([[self.a, self.bt], [self.b, None]], format="csc")
+        kkt = sp.bmat([[self.a, self.bt], [self.b, None]], format="csc")
         try:
             self.lu = spla.splu(kkt, **SYMMETRIC_LU)
         except RuntimeError as exc:

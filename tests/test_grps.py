@@ -411,33 +411,6 @@ def test_refresh_rejects_bad_indices_before_building(indices, match, monkeypatch
     assert patches == [] and calls.factors == []
 
 
-@pytest.mark.parametrize("layers", [2, None])
-def test_patch_kkt_slice_equals_assembled_blocks(layers, kkt_calls):
-    # the KKT matrix factored for a patch, sliced from the whole problem's,
-    # has the arrays of the one assembled from the patch's own blocks, so
-    # its factorization is the same (own generator: the session stream that
-    # later tests draw from stays as it was)
-    pr = make_problem(4, 2, p=5.0, kind="mstrig")
-    mesh = pr.mesh
-    op = pr.operator(random_state(pr, np.random.default_rng(9)), "newton")
-    meas = build_measurements(mesh)
-    i = 9
-    if layers is None:
-        ids, pos = np.arange(meas.shape[0]), np.arange(op.shape[0])
-    else:
-        patch = build_patch(mesh, i, layers)
-        ids, pos = patch.elements, mesh.free_pos[patch.interior_fine_nodes]
-    a, b = op[pos][:, pos].tocsr(), meas[ids][:, pos].tocsr()
-    want = sp.bmat([[a, b.T], [b, None]], format="csc")
-    calls = kkt_calls()
-    compute_basis(op, meas, mesh, layers=layers, indices=[i])
-    (got,), = calls.factors
-    assert got.format == "csc" and got.shape == want.shape
-    for name in ("indptr", "indices", "data"):
-        assert getattr(got, name).dtype == getattr(want, name).dtype
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-
-
 def test_blocked_galerkin_matrix_matches_dense():
     # 72 global bases: one full block of 64 and a partial one of 8
     pr = make_problem(6, 2, p=5.0, kind="mstrig")

@@ -159,8 +159,8 @@ def test_factorized_singular_neumann_laplacian_raises(n):
 
 
 def _patch_kkt(mesh, op, meas, i):
-    """KKT blocks of the 1-layer localized basis of coarse element i: the
-    operator and constraint rows sliced to the patch."""
+    """KKT blocks of the 1-layer localized basis of coarse element i, as in
+    grps._solve_patch: operator and constraint rows sliced to the patch."""
     patch = build_patch(mesh, i, 1)
     pos = mesh.free_pos[patch.interior_fine_nodes]
     g = np.zeros(patch.elements.size)
