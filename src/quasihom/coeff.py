@@ -105,6 +105,8 @@ def load_grid(path, rows: int, cols: int,
               extent=(0.0, 1.0, 0.0, 1.0)) -> CoefficientField:
     """Load a whitespace-separated grid file: rows*cols positive decimals,
     row-major with row 0 at y-min."""
+    if rows < 1 or cols < 1:
+        raise ValueError(f"grid rows and cols must be >= 1, got {rows}x{cols}")
     values = []
     try:
         fh = open(path)

@@ -68,9 +68,8 @@ def _solve_patch(op: sp.csr_matrix, meas: sp.csr_matrix, ids: np.ndarray,
     """Solve the bases `bases` of one patch (coarse elements `ids`, free-node
     positions `pos`) into `outs`: one KKT factorization, dropped on return,
     and one checked saddle solve per basis."""
-    a, b = op[pos][:, pos].tocsr(), meas[ids][:, pos].tocsr()
     try:
-        factor = sparsela.KKTFactor(a, b)
+        factor = sparsela.KKTFactor(op[pos][:, pos], meas[ids][:, pos])
     except sparsela.SolveError as exc:
         where = ("global basis build" if layers is None
                  else f"bases {bases.tolist()} (layers={layers})")
@@ -79,8 +78,7 @@ def _solve_patch(op: sp.csr_matrix, meas: sp.csr_matrix, ids: np.ndarray,
         rhs_c = np.zeros(ids.size)
         rhs_c[np.searchsorted(ids, i)] = 1.0
         try:
-            out[:], _ = sparsela.solve_saddle(
-                sparsela.SaddleSystem(a, b, np.zeros(pos.size), rhs_c, factor))
+            out[:], _ = sparsela.solve_saddle(factor, rhs_c)
         except sparsela.SolveError as exc:
             raise sparsela.RankDeficiencyError(
                 f"basis {i} (layers={layers}): {exc}") from exc

@@ -16,7 +16,7 @@ is part of every reported energy and of the relative energy decrease that
 the stopping test divides by, and the benchmark's recorded energies include
 it, so it is not shifted away here.
 
-``phi``, ``dphi`` and ``ddphi`` evaluate one derivative each; ``eval`` all three.
+``phi``, ``dphi`` and ``ddphi`` evaluate one derivative each.
 """
 
 from __future__ import annotations
@@ -138,11 +138,6 @@ def dphi(nf: NFunction, t):
 
 def ddphi(nf: NFunction, t):
     return _derivative(nf, t, 2)
-
-
-def eval(nf: NFunction, t):
-    """Return (phi(t), phi'(t), phi''(t)); t is a scalar or array, t >= 0."""
-    return phi(nf, t), dphi(nf, t), ddphi(nf, t)
 
 
 def eval_secant(nf: NFunction, t):

@@ -26,6 +26,8 @@ ALPHA_MAX = 4.0        # largest step the line search brackets
 LS_REL_TOL = 1e-6      # relative width at which the golden section stops
 FD_STEP = 1e-6         # central-difference step of the penalty weight lambda
 CN_LOG_TOL = 1e-9      # bracket width in log c at which the c_tilde search stops
+QN_DEFECT_TOL = 1e-8   # relative defect of the quasi-norm relation that counts as solved
+RESIDUAL_ZERO = 1e-12  # |r| / |load| at which a residual is zero to round-off
 
 METHODS = ("gd", "pgd", "newton", "quasinorm")
 SPACES = ("fine", "coarse")
@@ -87,6 +89,7 @@ class IterationRecord:
     c_tilde: float = math.nan
     bases_updated: int = 0
     wall_time: float = 0.0
+    inner_unsolved: bool = False   # quasi-norm direction missed its relation
 
 
 @dataclass
@@ -189,6 +192,12 @@ def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig
     |grad u|, plus the residual pairing. Solved by frozen-coefficient
     (Kacanov) updates safeguarded with Armijo backtracking on the inner
     energy; quadratic problems finish in a single exact step.
+
+    Returns (w, ok). The loop stops on a small update (an Armijo step shrunk
+    on round-off gives one too) or at ``inner_cap``, so ``ok`` checks the
+    relation at the returned w: |cq K(w) w + r| <= QN_DEFECT_TOL |r|, K(w)
+    weighted by kappa phi''(|grad u| + |grad w|), or r is zero to round-off
+    (|r| <= RESIDUAL_ZERO |load|).
     """
     if r is None:
         r = problem.residual(state)
@@ -205,19 +214,19 @@ def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig
         ph, dph = nfunc.phi(nf, a + wn), nfunc.dphi(nf, a + wn)
         return cq * float(areas @ (kv * (wn * dph - ph + phi_a))) + float(r @ wv)
 
+    def stiffness(wv: np.ndarray) -> sp.csr_matrix:
+        wn = fem.FemState(mesh, problem.expand(wv)).grad_norms()
+        return fem.weighted_stiffness(mesh, kv * nfunc.ddphi(nf, a + wn))
+
     w = np.zeros(r.size)
     e_cur = inner_energy(w)
-    converged = False
     for _ in range(cfg.inner_cap):
-        wn = fem.FemState(mesh, problem.expand(w)).grad_norms()
-        dd = nfunc.ddphi(nf, a + wn)
-        k = fem.weighted_stiffness(mesh, kv * dd)
+        k = stiffness(w)
         target = sparsela.factorized_spd(k)(-r / cq)
         d = target - w
         d_norm = math.sqrt(max(d @ (k @ d), 0.0))
         t_norm = math.sqrt(max(target @ (k @ target), 1e-300))
         if d_norm <= cfg.inner_tol * t_norm:
-            converged = True
             break
         slope = float((cq * (k @ w) + r) @ d)
         alpha = 1.0
@@ -230,9 +239,11 @@ def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig
         w = w + alpha * d
         e_cur = e_new
         if alpha * d_norm <= cfg.inner_tol * t_norm:
-            converged = True
             break
-    return w, converged
+    r_norm = np.linalg.norm(r)
+    if r_norm <= RESIDUAL_ZERO * np.linalg.norm(problem.load[mesh.free_nodes]):
+        return w, True
+    return w, bool(np.linalg.norm(cq * (stiffness(w) @ w) + r) <= QN_DEFECT_TOL * r_norm)
 
 
 def _bracket_and_golden(objective, f0: float) -> float:
@@ -471,8 +482,7 @@ def solve(problem: Problem, cfg: SolverConfig,
                     w = grps.coarse_solve(op, -r, space)
                 elif cfg.method == "quasinorm":
                     w, inner_ok = quasinorm_direction(problem, state, cfg, r=r)
-                    if not inner_ok:
-                        reason = "inner_iteration_cap"
+                    rec.inner_unsolved = not inner_ok
                 else:
                     w = search_direction(problem, state, cfg, op=op, r=r)
                 if not np.all(np.isfinite(w)):

@@ -1,12 +1,11 @@
 """Sparse SPD and constrained saddle-point solves.
 
 SPD systems go through a direct sparse factorization (``factorized_spd``)
-that returns a solve closure for repeated right-hand sides. Saddle systems
-(equality-constrained quadratic minimization) are solved by a direct
-factorization of the KKT matrix; the normwise backward error of both blocks
-is checked after every solve. Systems that differ only in their right-hand
-sides, such as the coarse bases of one patch, share one ``KKTFactor`` and
-still make one checked ``solve_saddle`` call each.
+that returns a solve closure for repeated right-hand sides. A saddle system
+(equality-constrained quadratic minimization) is factored once as a
+``KKTFactor``; each constraint right-hand side, such as one coarse basis of
+a patch, is one ``solve_saddle`` call against it, which checks the normwise
+backward error of both blocks.
 
 Every matrix factored here is symmetric, so both factorizations use one
 symmetric setting of SuperLU (``SYMMETRIC_LU``): a minimum-degree ordering
@@ -21,8 +20,6 @@ its terms, so large operator entries (high contrast) alone fail no system.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -79,48 +76,32 @@ class KKTFactor:
         self.norm_a, self.norm_b = np.linalg.norm(self.a.data), np.linalg.norm(self.b.data)
 
 
-@dataclass
-class SaddleSystem:
-    a: sp.spmatrix                 # n x n, SPD on ker(b)
-    b: sp.spmatrix                 # m x n constraints
-    rhs_primal: np.ndarray
-    rhs_constraint: np.ndarray
-    factor: KKTFactor | None = None    # of a and b; factored per solve if None
-
-
-def solve_saddle(system: SaddleSystem):
-    """Minimize 1/2 x'Ax - f'x subject to Bx = g; returns (x, multipliers).
+def solve_saddle(factor: KKTFactor, g):
+    """Minimize 1/2 x'Ax subject to Bx = g for the A and B of the factored
+    KKT matrix ``factor``; returns (x, multipliers).
 
     The KKT matrix is factored without threshold pivoting, so the normwise
     backward error of both blocks is checked: ConvergenceError when
-    |Ax + B'lam - f| / (|A|_F |x| + |B|_F |lam| + |f|) or
-    |Bx - g| / (|B|_F |x| + |g|) exceeds 1e-8, also against a shared ``factor``.
+    |Ax + B'lam| / (|A|_F |x| + |B|_F |lam|) or |Bx - g| / (|B|_F |x| + |g|)
+    exceeds 1e-8.
     """
-    kkt = system.factor
-    a, b = (system.a, system.b) if kkt is None else (kkt.a, kkt.b)
-    f = np.asarray(system.rhs_primal, dtype=float)
-    g = np.asarray(system.rhs_constraint, dtype=float)
-    n = a.shape[0]
-    m = b.shape[0]
-    if b.shape[1] != n or f.size != n or g.size != m:
-        raise ValueError("saddle system shape mismatch")
-    if m == 0:
-        return factorized_spd(a)(f), np.zeros(0)
-    if kkt is None:
-        kkt = KKTFactor(a, b)
-    a, b, bt = kkt.a, kkt.b, kkt.bt
-    sol = kkt.lu.solve(np.concatenate([f, g]))
+    a, b, bt = factor.a, factor.b, factor.bt
+    g = np.asarray(g, dtype=float)
+    m, n = b.shape
+    if g.size != m:
+        raise ValueError(f"constraint right-hand side has {g.size} entries "
+                         f"for {m} constraints")
+    sol = factor.lu.solve(np.concatenate([np.zeros(n), g]))
     if not np.all(np.isfinite(sol)):
         raise RankDeficiencyError("KKT solve produced non-finite values")
-    x = sol[:n]
-    lam = sol[n:]
+    x, lam = sol[:n], sol[n:]
 
     # a zero scale comes with a zero residual
     norm, tiny = np.linalg.norm, np.finfo(float).tiny
     err = max(
-        norm(a @ x + bt @ lam - f)
-        / max(kkt.norm_a * norm(x) + kkt.norm_b * norm(lam) + norm(f), tiny),
-        norm(b @ x - g) / max(kkt.norm_b * norm(x) + norm(g), tiny),
+        norm(a @ x + bt @ lam)
+        / max(factor.norm_a * norm(x) + factor.norm_b * norm(lam), tiny),
+        norm(b @ x - g) / max(factor.norm_b * norm(x) + norm(g), tiny),
     )
     if err > 1e-8:
         raise ConvergenceError("KKT backward error too large", err)

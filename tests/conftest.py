@@ -63,16 +63,16 @@ def perturb_splu(monkeypatch):
 
 @pytest.fixture
 def kkt_calls(monkeypatch):
-    """Call it to record every later spla.splu call (its positional
-    arguments, in `.factors`) and sparsela.solve_saddle call (its system, in
-    `.solves`) on the namespace it returns."""
+    """Call it to record the positional arguments of every later spla.splu
+    call (in `.factors`) and sparsela.solve_saddle call (its factor and
+    constraint right-hand side, in `.solves`) on the namespace it returns."""
     def record():
         calls = SimpleNamespace(factors=[], solves=[])
         splu, solve = spla.splu, sparsela.solve_saddle
         monkeypatch.setattr(spla, "splu",
                             lambda *a, **k: calls.factors.append(a) or splu(*a, **k))
         monkeypatch.setattr(sparsela, "solve_saddle",
-                            lambda s: calls.solves.append(s) or solve(s))
+                            lambda *a: calls.solves.append(a) or solve(*a))
         return calls
 
     return record

@@ -31,14 +31,13 @@ def eval_shifted(nf: nfunc.NFunction, a: float, t: float) -> tuple[float, float]
     if a < 0 or t < 0:
         raise ValueError("shift and argument must be >= 0")
     if a == 0.0:
-        phi, dphi, _ = nfunc.eval(nf, t)
-        return float(phi), float(dphi)
+        return float(nfunc.phi(nf, t)), float(nfunc.dphi(nf, t))
     m = max(a, t)
-    dphi_a = t * float(nfunc.eval(nf, m)[1]) / m
+    dphi_a = t * float(nfunc.dphi(nf, m)) / m
 
     def integrand(s):
         ms = max(a, s)
-        return s * float(nfunc.eval(nf, ms)[1]) / ms
+        return s * float(nfunc.dphi(nf, ms)) / ms
 
     phi_a, _ = quad(integrand, 0.0, t, epsabs=1e-14, epsrel=1e-10, limit=200)
     return phi_a, dphi_a
@@ -57,7 +56,7 @@ def quasi_norm(state: FemState, w: np.ndarray, coeffs: ElementCoefficients,
     """sum_T |T| kappa_T phi''(|grad u| + |grad w|) |grad w|^2."""
     mesh = state.mesh
     wn = FemState(mesh, w).grad_norms()
-    dd = nfunc.eval(nf, state.grad_norms() + wn)[2]
+    dd = nfunc.ddphi(nf, state.grad_norms() + wn)
     return float(mesh.areas @ (coeffs.values * dd * wn ** 2))
 
 
@@ -92,9 +91,8 @@ def basis_per_row(op: sp.csr_matrix, meas: sp.csr_matrix, indices,
         else:
             patch = build_patch(mesh, i, layers)
             ids, pos = patch.elements, mesh.free_pos[patch.interior_fine_nodes]
-        e_i = (ids == i).astype(float)
-        row[pos], _ = sparsela.solve_saddle(sparsela.SaddleSystem(
-            op[pos][:, pos].tocsr(), meas[ids][:, pos].tocsr(), np.zeros(pos.size), e_i))
+        factor = sparsela.KKTFactor(op[pos][:, pos], meas[ids][:, pos])
+        row[pos], _ = sparsela.solve_saddle(factor, (ids == i).astype(float))
     return rows
 
 
@@ -117,7 +115,7 @@ def estimate_cn_bisection(problem: solvers.Problem, state: FemState,
     areas = mesh.areas
 
     def rhs(c: float) -> float:
-        dd = nfunc.eval(problem.nf, su + wn / c)[2]
+        dd = nfunc.ddphi(problem.nf, su + wn / c)
         return float(areas @ (kv * dd * wn ** 2))
 
     # defect c*lhs_unit - rhs(c) is increasing in c; the quadratic case

@@ -67,7 +67,7 @@ def test_linearized_operator_matches_dense_oracle(mesh, seed, p, mode):
         k = kappa.values[e]
         out = k * nfunc.eval_secant(nf, s) * (g @ g.T)
         if mode == "newton" and s > 0:
-            _, dphi, ddphi = nfunc.eval(nf, s)
+            dphi, ddphi = nfunc.dphi(nf, s), nfunc.ddphi(nf, s)
             d = g @ grad_u
             out = out + k * (ddphi * s - dphi) / s ** 3 * np.outer(d, d)
         return out

@@ -35,7 +35,7 @@ def test_solver_defaults_come_from_solver_config():
 def test_iteration_table_columns():
     # the iteration CSV columns README documents, in order
     readme = ["n", "energy", "energy_error", "residual_l2h", "alpha", "rho",
-              "lambda", "c_tilde", "bases_updated", "wall_time"]
+              "lambda", "c_tilde", "bases_updated", "wall_time", "inner_unsolved"]
     rec = solvers.IterationRecord(n=3, energy=-1.5, lam=0.25, bases_updated=7)
     report = solvers.SolveReport(records=[rec], state=None, converged=False,
                                  reason="max_iters")
@@ -227,9 +227,16 @@ def test_csv_17_digit_format(tmp_path):
     ["homogenization-error", "--hom.nc_list", ","],
     ["regularization-study", "--reg.eps_list", ""],
     ["compare-methods", "--compare.methods", ","],
+    # a grid without its dimensions used to end in an IndexError traceback
+    # (empty file) or a data error asking for 0x0 values
+    ["solve", "--coeff.kind", "grid", "--coeff.path", os.path.join(DATA, "empty.txt")],
+    ["solve", "--coeff.kind", "grid", "--coeff.path", os.path.join(DATA, "toy_grid_4x3.txt")],
+    ["solve", "--coeff.kind", "grid", "--coeff.path", os.path.join(DATA, "toy_grid_4x3.txt"),
+     "--coeff.rows", "4"],
 ], ids=["delta_i", "nfunc_p", "nc_list", "inner_cap", "cq", "inner_tol",
         "max_iters", "fine_n_below_nc", "fine_n_zero", "nc_zero",
-        "nc_negative", "nc_list_empty", "eps_list_empty", "methods_empty"])
+        "nc_negative", "nc_list_empty", "eps_list_empty", "methods_empty",
+        "grid_empty_no_dims", "grid_no_dims", "grid_no_cols"])
 def test_main_bad_value_exit_code(tmp_path, args):
     rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),
                "--out", str(tmp_path)])

@@ -80,6 +80,9 @@ def test_load_grid_errors():
         load_grid(os.path.join(DATA, "toy_grid_4x3.txt"), 5, 3)
     with pytest.raises(GridValueError):
         load_grid(os.path.join(DATA, "nonpositive.txt"), 2, 2)
+    for rows, cols in ((0, 0), (0, 3), (4, 0), (-1, 3)):
+        with pytest.raises(ValueError, match=f"got {rows}x{cols}"):
+            load_grid(os.path.join(DATA, "toy_grid_4x3.txt"), rows, cols)
 
 
 def test_single_cell_grid(tmp_path):

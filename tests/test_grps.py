@@ -1,3 +1,4 @@
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -321,7 +322,26 @@ def test_global_build_factors_once(indices, kkt_calls):
     n = meas.shape[0] if indices is None else len(indices)
     assert len(factors) == (1 if n else 0)
     assert len(solves) == n
-    assert all(s.factor is solves[0].factor is not None for s in solves)
+    assert all(factor is solves[0][0] for factor, _ in solves)
+
+
+def test_saddle_solves_are_sized_like_the_tracer_sizes_them(kkt_calls):
+    # perfbench/tracing.py wraps public module functions only, and sizes a
+    # sparsela.solve_saddle span as first.a.shape[0] + first.b.shape[0]; a
+    # basis solve made any other way would read as no saddle call at all
+    fn = sparsela.solve_saddle
+    assert inspect.isfunction(fn) and not fn.__name__.startswith("_")
+    assert fn.__module__ == "quasihom.sparsela"
+    pr = make_problem(3, 2, p=2.0, kind="mstrig")
+    op = _p2_operator(pr)
+    meas = build_measurements(pr.mesh)
+    calls = kkt_calls()
+    compute_basis(op, meas, pr.mesh, layers=None, indices=[4, 1])
+    patch = build_patch(pr.mesh, 7, 1)
+    compute_basis(op, meas, pr.mesh, layers=1, indices=[7])
+    sizes = [first.a.shape[0] + first.b.shape[0] for first, *_ in calls.solves]
+    assert sizes == [op.shape[0] + meas.shape[0]] * 2 + [
+        patch.interior_fine_nodes.size + patch.elements.size]
 
 
 def test_global_build_inaccurate_solve_raises(perturb_splu):

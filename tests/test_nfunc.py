@@ -10,21 +10,23 @@ from quasihom.nfunc import NFunction
 
 from oracles import eval_shifted
 
+ORDERS = (nfunc.phi, nfunc.dphi, nfunc.ddphi)
+
 
 def test_power_p2():
     nf = NFunction("power", 2.0)
-    assert nfunc.eval(nf, 3.0) == (4.5, 3.0, 1.0)
+    assert [f(nf, 3.0) for f in ORDERS] == [4.5, 3.0, 1.0]
 
 
 def test_power_p5_origin():
     nf = NFunction("power", 5.0)
-    assert nfunc.eval(nf, 0.0) == (0.0, 0.0, 0.0)
+    assert [f(nf, 0.0) for f in ORDERS] == [0.0, 0.0, 0.0]
 
 
 def test_power_array_shapes():
     nf = NFunction("power", 4.0)
     t = np.array([0.0, 0.5, 2.0])
-    phi, dphi, ddphi = nfunc.eval(nf, t)
+    phi, dphi, ddphi = (f(nf, t) for f in ORDERS)
     assert phi.shape == t.shape
     assert dphi[2] == pytest.approx(8.0)
     assert ddphi[0] == 0.0
@@ -33,7 +35,7 @@ def test_power_array_shapes():
 def test_negative_argument_rejected():
     for nf in (NFunction("power", 3.5), NFunction("reg_c1", 3.5, 1e-3, 5.0),
                NFunction("reg_c2", 3.5, 1e-3, 5.0)):
-        for entry in (nfunc.eval, nfunc.phi, nfunc.dphi, nfunc.ddphi, nfunc.eval_secant):
+        for entry in (*ORDERS, nfunc.eval_secant):
             for t in (-1.0, [-1.0, 0.5]):
                 with pytest.raises(ValueError, match="t >= 0"):
                     entry(nf, t)
@@ -42,7 +44,7 @@ def test_negative_argument_rejected():
 @given(kind=st.sampled_from(nfunc.KINDS), p=st.floats(1.5, 20.0),
        em=st.floats(1e-3, 1.0), ep_factor=st.one_of(st.just(math.inf), st.floats(1.5, 10.0)),
        ts=st.lists(st.floats(0.0, 50.0), max_size=8))
-def test_single_order_kernels_match_eval_bitwise(kind, p, em, ep_factor, ts):
+def test_single_order_kernels_scalar_and_array(kind, p, em, ep_factor, ts):
     if kind == "power":
         nf = NFunction("power", p)
         ts = ts + [0.0, 1e-3, 1.0]
@@ -50,10 +52,11 @@ def test_single_order_kernels_match_eval_bitwise(kind, p, em, ep_factor, ts):
         nf = NFunction(kind, p, em, em * ep_factor)
         ts = ts + [0.0, nf.eps_minus, nf.eps_plus if math.isfinite(nf.eps_plus) else 2.0 * em]
     t = np.array(ts)
-    for order, kernel in enumerate((nfunc.phi, nfunc.dphi, nfunc.ddphi)):
-        assert np.array_equal(kernel(nf, t), nfunc.eval(nf, t)[order])
-        for ti in ts[-3:]:
-            assert kernel(nf, ti) == nfunc.eval(nf, ti)[order]
+    for kernel in ORDERS:
+        values = kernel(nf, t)
+        assert isinstance(values, np.ndarray) and values.shape == t.shape
+        for ti, vi in zip(ts[-3:], values[-3:]):
+            assert kernel(nf, ti) == vi
             assert isinstance(kernel(nf, ti), float)
 
 
@@ -76,8 +79,8 @@ def test_from_eps_pow_unrepresentable_eps_minus(p, what):
 
 
 def _branch_gaps(nf, t0):
-    below = nfunc.eval(nf, np.nextafter(t0, 0.0))
-    above = nfunc.eval(nf, np.nextafter(t0, np.inf))
+    below = [f(nf, np.nextafter(t0, 0.0)) for f in ORDERS]
+    above = [f(nf, np.nextafter(t0, np.inf)) for f in ORDERS]
     return [abs(a - b) / max(abs(a), abs(b), 1e-300) for a, b in zip(below, above)]
 
 
@@ -104,7 +107,7 @@ def test_reg_c1_second_derivative_floor():
     p = 10.0
     nf = NFunction.from_eps_pow("reg_c1", p, 1e-6)
     ts = np.linspace(0.0, nf.eps_minus, 10)
-    dd = nfunc.eval(nf, ts)[2]
+    dd = nfunc.ddphi(nf, ts)
     assert np.allclose(dd, 1e-6, rtol=1e-12)
 
 
@@ -112,9 +115,9 @@ def test_second_derivative_bounded_and_positive():
     for kind in ("reg_c1", "reg_c2"):
         nf = NFunction.from_eps_pow(kind, 6.0, 1e-6, eps_plus=4.0)
         ts = np.concatenate([[0.0], np.logspace(-8, 2, 300)])
-        dd = nfunc.eval(nf, ts)[2]
+        dd = nfunc.ddphi(nf, ts)
         assert np.all(dd > 0)
-        assert np.all(dd <= nfunc.eval(nf, nf.eps_plus)[2] * (1 + 1e-12))
+        assert np.all(dd <= nfunc.ddphi(nf, nf.eps_plus) * (1 + 1e-12))
 
 
 def test_second_derivative_nondecreasing_up_to_eps_plus():
@@ -126,7 +129,7 @@ def test_second_derivative_nondecreasing_up_to_eps_plus():
             nf = NFunction.from_eps_pow(kind, 5.0, 1e-6, eps_plus=7.0)
             hi = nf.eps_plus
         ts = np.concatenate([[0.0], np.logspace(-9, np.log10(hi), 400)])
-        dd = nfunc.eval(nf, ts)[2]
+        dd = nfunc.ddphi(nf, ts)
         assert np.all(np.diff(dd) >= -1e-13 * np.abs(dd[:-1]))
 
 
@@ -140,7 +143,7 @@ def test_secant_values():
     # matches phi'(t)/t for positive t
     t = np.logspace(-6, 1, 50)
     sec = nfunc.eval_secant(nf, t)
-    dphi = nfunc.eval(nf, t)[1]
+    dphi = nfunc.dphi(nf, t)
     assert np.allclose(sec, dphi / t, rtol=1e-13)
 
 
@@ -148,8 +151,8 @@ def test_growth_ratios_power():
     p = 4.0
     nf = NFunction("power", p)
     for t in (0.1, 1.0, 7.3):
-        phi, dphi, ddphi = nfunc.eval(nf, t)
-        assert phi * 2 ** p == pytest.approx(nfunc.eval(nf, 2 * t)[0], rel=1e-13)
+        phi, dphi, ddphi = (f(nf, t) for f in ORDERS)
+        assert phi * 2 ** p == pytest.approx(nfunc.phi(nf, 2 * t), rel=1e-13)
         assert t * dphi / phi == pytest.approx(p, rel=1e-13)
         assert t * t * ddphi / phi == pytest.approx(p * (p - 1), rel=1e-13)
 
@@ -161,11 +164,11 @@ def test_reg_converges_to_power():
     for eps_pow in (1e-2, 1e-4, 1e-6):
         nf = NFunction.from_eps_pow("reg_c1", p, eps_pow)
         ts = np.linspace(nf.eps_minus, 10.0, 50)
-        gap = np.max(np.abs(nfunc.eval(nf, ts)[0] - nfunc.eval(nf_pow, ts)[0]))
+        gap = np.max(np.abs(nfunc.phi(nf, ts) - nfunc.phi(nf_pow, ts)))
         # identical above eps_minus (eps_plus = inf) up to breakpoint rounding
-        assert gap <= 1e-15 * nfunc.eval(nf_pow, 10.0)[0]
+        assert gap <= 1e-15 * nfunc.phi(nf_pow, 10.0)
         below = np.linspace(0.0, nf.eps_minus, 20)
-        gap_b = np.max(np.abs(nfunc.eval(nf, below)[0] - nfunc.eval(nf_pow, below)[0]))
+        gap_b = np.max(np.abs(nfunc.phi(nf, below) - nfunc.phi(nf_pow, below)))
         assert gap_b <= 0.5 * nf.eps_minus ** p
         if prev is not None:
             assert gap_b < prev
@@ -182,9 +185,8 @@ def _simpson(f, a, b, n=2000):
 def test_shifted_zero_shift_exact():
     nf = NFunction("power", 3.0)
     phi_a, dphi_a = eval_shifted(nf, 0.0, 1.7)
-    phi, dphi, _ = nfunc.eval(nf, 1.7)
-    assert phi_a == phi
-    assert dphi_a == dphi
+    assert phi_a == nfunc.phi(nf, 1.7)
+    assert dphi_a == nfunc.dphi(nf, 1.7)
 
 
 def test_shifted_p2_is_quadratic():
@@ -203,7 +205,7 @@ def test_shifted_p4_against_simpson():
 
     def integrand(s):
         m = max(a, s)
-        return s * nfunc.eval(nf, m)[1] / m
+        return s * nfunc.dphi(nf, m) / m
 
     oracle = _simpson(integrand, 0.0, t)
     assert phi_a == pytest.approx(oracle, rel=1e-9)
@@ -238,26 +240,26 @@ def test_derivatives_match_central_differences(nf, t):
     h = 1e-6 * t
     for bp in (nf.eps_minus, nf.eps_plus):
         assume(nf.kind == "power" or abs(t - bp) > 10.0 * h)
-    phi, dphi, ddphi = nfunc.eval(nf, t)
-    assert _central_difference_matches(lambda s: nfunc.eval(nf, s)[0], t, h, dphi)
-    assert _central_difference_matches(lambda s: nfunc.eval(nf, s)[1], t, h, ddphi)
+    dphi, ddphi = nfunc.dphi(nf, t), nfunc.ddphi(nf, t)
+    assert _central_difference_matches(lambda s: nfunc.phi(nf, s), t, h, dphi)
+    assert _central_difference_matches(lambda s: nfunc.dphi(nf, s), t, h, ddphi)
 
 
 @given(nf=n_functions, t=_log_uniform(-4, 3))
 def test_secant_times_t_is_first_derivative(nf, t):
-    dphi = nfunc.eval(nf, t)[1]
+    dphi = nfunc.dphi(nf, t)
     assert nfunc.eval_secant(nf, t) * t == pytest.approx(dphi, rel=1e-14)
 
 
 @given(nf=n_functions, t=_log_uniform(-4, 3))
 def test_values_and_derivatives_nonnegative(nf, t):
-    phi, dphi, ddphi = nfunc.eval(nf, t)
+    phi, dphi, ddphi = (f(nf, t) for f in ORDERS)
     assert dphi >= 0.0
     assert ddphi >= 0.0
     # phi equals t^p / p from eps_minus up, so for p > 2 the regularized
     # kinds dip below 0 near the origin: phi(0) = (1/p - 1/2) eps_minus^p
     # (reg_c1); phi is still nondecreasing from phi(0)
-    assert phi >= nfunc.eval(nf, 0.0)[0]
+    assert phi >= nfunc.phi(nf, 0.0)
     if nf.kind == "power" or nf.p <= 2.0 or t >= nf.eps_minus:
         assert phi >= 0.0
 

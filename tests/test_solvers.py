@@ -93,18 +93,22 @@ def test_quasinorm_zero_residual_returns_zero():
     assert np.abs(w).max() <= 1e-12
 
 
-def test_quasinorm_defining_relation_defect(rng):
+@pytest.mark.parametrize("seed", [0, 199, 214, 216, 236])
+def test_quasinorm_ok_implies_defining_relation(seed):
+    # seeds 199-236 used to stop on an Armijo step shrunk to 1e-6 or less
+    # and return ok with a defect of 1.2e-8 to 3.7e-8
     pr = make_problem(4, 2, p=5.0, kind="mstrig")
     cfg = SolverConfig(method="quasinorm", inner_tol=1e-12, inner_cap=200)
-    st = random_state(pr, rng, scale=0.3)
+    st = random_state(pr, np.random.default_rng(seed), scale=0.3)
     r = pr.residual(st)
     w, ok = solvers.quasinorm_direction(pr, st, cfg, r=r)
-    assert ok
     wn = fem.FemState(pr.mesh, pr.expand(w)).grad_norms()
-    dd = nfunc.eval(pr.nf, st.grad_norms() + wn)[2]
+    dd = nfunc.ddphi(pr.nf, st.grad_norms() + wn)
     k = fem.weighted_stiffness(pr.mesh, pr.kappa.values * dd)
     defect = np.linalg.norm(cfg.cq * (k @ w) + r) / np.linalg.norm(r)
-    assert defect <= 1e-8
+    if ok:
+        assert defect <= 1e-8
+    assert ok or seed != 0       # seed 0 meets the relation to 4.4e-11
 
 
 def test_line_search_quadratic_full_step():
@@ -176,7 +180,7 @@ def test_estimate_cn_solves_balance_equation(rng):
     c = solvers.estimate_cn(pr, st, w0, op)
     assert c > 0
     wn = fem.FemState(pr.mesh, pr.expand(w0)).grad_norms()
-    dd = nfunc.eval(pr.nf, st.grad_norms() + wn / c)[2]
+    dd = nfunc.ddphi(pr.nf, st.grad_norms() + wn / c)
     rhs = float(pr.mesh.areas @ (pr.kappa.values * dd * wn ** 2))
     lhs = c * float(w0 @ (op @ w0))
     assert lhs == pytest.approx(rhs, rel=1e-6)
@@ -252,22 +256,6 @@ def test_overflowing_step_stops_without_warning(mode, reason):
 def test_bracket_takes_no_non_finite_decrease(value, f0):
     with pytest.raises(LineSearchError):
         solvers._bracket_and_golden(lambda t: value, f0)
-
-
-def test_energy_quasinorm_and_cn_skip_three_output_eval(rng, monkeypatch):
-    pr = make_problem(4, 2, p=5.0, kind="mstrig")
-    st = random_state(pr, rng, scale=0.3)
-    r = pr.residual(st)
-    op = pr.operator(st, "newton")
-    w0 = sparsela.factorized_spd(op)(-r)
-
-    def no_eval(nf, t):
-        raise AssertionError("nfunc.eval called")
-
-    monkeypatch.setattr(nfunc, "eval", no_eval)
-    pr.energy(st)
-    solvers.estimate_cn(pr, st, w0, op)
-    solvers.quasinorm_direction(pr, st, SolverConfig(method="quasinorm"), r=r)
 
 
 def test_solve_p2_two_records():
@@ -356,6 +344,21 @@ def test_solve_stationary_flag_vs_failure(rng):
     rep = solvers.solve(pr, SolverConfig())
     assert rep.converged
     assert rep.reason in ("stationary", "energy_decrease_below_tol")
+
+
+@pytest.mark.parametrize("max_iters, reason, iterations",
+                         [(3, "max_iters", 3), (100, "energy_decrease_below_tol", 25)])
+def test_quasinorm_inner_cap_is_recorded_not_a_stop_reason(max_iters, reason, iterations):
+    # a capped inner solve used to set the reason and keep iterating: the
+    # 3-iteration run reported inner_iteration_cap, the long run converged
+    # with no trace of its capped directions
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    cfg = SolverConfig(method="quasinorm", inner_cap=1, max_iters=max_iters)
+    rep = solvers.solve(pr, cfg)
+    assert (rep.reason, len(rep.records) - 1) == (reason, iterations)
+    assert rep.converged == (reason != "max_iters")
+    assert all(rec.inner_unsolved for rec in rep.records[:-1])
+    assert not rep.records[-1].inner_unsolved
 
 
 def test_quasinorm_inner_cap_zero_never_converges():

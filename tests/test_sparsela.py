@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,7 +10,6 @@ from quasihom.sparsela import (
     ConvergenceError,
     KKTFactor,
     RankDeficiencyError,
-    SaddleSystem,
     factorized_spd,
     solve_saddle,
 )
@@ -47,23 +48,10 @@ def test_factorized_matches_pcg(rng):
 
 
 def test_saddle_projection():
-    sys = SaddleSystem(
-        a=sp.eye(2, format="csr"),
-        b=sp.csr_matrix(np.array([[1.0, 0.0]])),
-        rhs_primal=np.zeros(2),
-        rhs_constraint=np.array([1.0]),
-    )
-    x, lam = solve_saddle(sys)
+    factor = KKTFactor(sp.eye(2, format="csr"), sp.csr_matrix(np.array([[1.0, 0.0]])))
+    x, lam = solve_saddle(factor, np.array([1.0]))
     assert np.allclose(x, [1.0, 0.0], atol=1e-12)
     assert np.allclose(lam, [-1.0], atol=1e-12)
-
-
-def test_saddle_empty_constraints():
-    a = sp.csr_matrix(np.array([[2.0, 0.0], [0.0, 4.0]]))
-    sys = SaddleSystem(a, sp.csr_matrix((0, 2)), np.array([2.0, 4.0]), np.zeros(0))
-    x, lam = solve_saddle(sys)
-    assert np.allclose(x, [1.0, 1.0], rtol=1e-10)
-    assert lam.size == 0
 
 
 def test_saddle_against_dense_kkt(rng):
@@ -71,11 +59,10 @@ def test_saddle_against_dense_kkt(rng):
     q = rng.standard_normal((n, n))
     a = q.T @ q + np.eye(n)
     b = rng.standard_normal((m, n))
-    f = rng.standard_normal(n)
     g = rng.standard_normal(m)
     kkt = np.block([[a, b.T], [b, np.zeros((m, m))]])
-    dense = np.linalg.solve(kkt, np.concatenate([f, g]))
-    x, lam = solve_saddle(SaddleSystem(sp.csr_matrix(a), sp.csr_matrix(b), f, g))
+    dense = np.linalg.solve(kkt, np.concatenate([np.zeros(n), g]))
+    x, lam = solve_saddle(KKTFactor(a, b), g)
     assert np.allclose(x, dense[:n], atol=1e-9)
     assert np.allclose(lam, dense[n:], atol=1e-9)
 
@@ -85,12 +72,20 @@ def test_saddle_residual_blocks(rng):
     q = rng.standard_normal((n, n))
     a = sp.csr_matrix(q.T @ q + np.eye(n))
     b = sp.csr_matrix(rng.standard_normal((m, n)))
-    f = rng.standard_normal(n)
     g = rng.standard_normal(m)
-    x, lam = solve_saddle(SaddleSystem(a, b, f, g))
-    scale = 1.0 + np.linalg.norm(np.concatenate([f, g]))
-    assert np.linalg.norm(a @ x + b.T @ lam - f) <= 1e-8 * scale
+    x, lam = solve_saddle(KKTFactor(a, b), g)
+    scale = 1.0 + np.linalg.norm(g)
+    assert np.linalg.norm(a @ x + b.T @ lam) <= 1e-8 * scale
     assert np.linalg.norm(b @ x - g) <= 1e-8 * scale
+
+
+def test_saddle_rejects_bad_right_hand_side_and_non_finite_solution():
+    factor = KKTFactor(sp.eye(3, format="csr"), sp.csr_matrix(np.eye(2, 3)))
+    with pytest.raises(ValueError, match="3 entries for 2 constraints"):
+        solve_saddle(factor, np.ones(3))
+    factor.lu = SimpleNamespace(solve=lambda rhs: np.full(rhs.size, np.nan))
+    with pytest.raises(RankDeficiencyError, match="non-finite"):
+        solve_saddle(factor, np.ones(2))
 
 
 def test_constrained_minimality(rng):
@@ -99,12 +94,11 @@ def test_constrained_minimality(rng):
     a = sp.csr_matrix(q.T @ q + np.eye(n))
     bmat = rng.standard_normal((m, n))
     b = sp.csr_matrix(bmat)
-    f = rng.standard_normal(n)
     g = rng.standard_normal(m)
-    x, _ = solve_saddle(SaddleSystem(a, b, f, g))
+    x, _ = solve_saddle(KKTFactor(a, b), g)
 
     def objective(v):
-        return 0.5 * v @ (a @ v) - f @ v
+        return 0.5 * v @ (a @ v)
 
     null = np.linalg.svd(bmat)[2][m:]  # basis of ker(B)
     for _ in range(20):
@@ -115,16 +109,15 @@ def test_constrained_minimality(rng):
 def test_rank_deficient_constraints():
     a = sp.eye(3, format="csr")
     b = sp.csr_matrix(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-    sys = SaddleSystem(a, b, np.zeros(3), np.array([1.0, 2.0]))
     with pytest.raises((RankDeficiencyError, ConvergenceError)):
-        solve_saddle(sys)
+        solve_saddle(KKTFactor(a, b), np.array([1.0, 2.0]))
 
 
 def test_more_constraints_than_unknowns():
     a = sp.eye(2, format="csr")
     b = sp.csr_matrix(np.eye(3)[:, :2])
     with pytest.raises(RankDeficiencyError):
-        solve_saddle(SaddleSystem(a, b, np.zeros(2), np.zeros(3)))
+        KKTFactor(a, b)
 
 
 def _rel(x, ref):
@@ -165,15 +158,14 @@ def _patch_kkt(mesh, op, meas, i):
     pos = mesh.free_pos[patch.interior_fine_nodes]
     g = np.zeros(patch.elements.size)
     g[np.searchsorted(patch.elements, i)] = 1.0
-    return (op[pos][:, pos].tocsr(), meas[patch.elements][:, pos].tocsr(),
-            np.zeros(pos.size), g)
+    return op[pos][:, pos].tocsr(), meas[patch.elements][:, pos].tocsr(), g
 
 
-def _assert_matches_dense(a, b, f, g):
-    x, lam = solve_saddle(SaddleSystem(a, b, f, g))
-    n, m = f.size, g.size
+def _assert_matches_dense(a, b, g):
+    x, lam = solve_saddle(KKTFactor(a, b), g)
+    m, n = b.shape
     kkt = np.block([[a.toarray(), b.T.toarray()], [b.toarray(), np.zeros((m, m))]])
-    dense = np.linalg.solve(kkt, np.r_[f, g])
+    dense = np.linalg.solve(kkt, np.r_[np.zeros(n), g])
     assert _rel(x, dense[:n]) <= 1e-10
     assert _rel(lam, dense[n:]) <= 1e-10
 
@@ -215,26 +207,24 @@ def test_saddle_random_contrast_patches_pass_backward_error_check(nc, level):
 
 def test_saddle_inaccurate_solve_raises(perturb_splu):
     mesh, op, meas = _random_contrast(4, 3)
-    system = SaddleSystem(*_patch_kkt(mesh, op, meas, 0))
-    solve_saddle(system)
+    a, b, g = _patch_kkt(mesh, op, meas, 0)
+    solve_saddle(KKTFactor(a, b), g)
     perturb_splu()
-    with pytest.raises(ConvergenceError):
-        solve_saddle(system)
-    shared = KKTFactor(system.a, system.b)
-    for g in np.eye(system.b.shape[0])[:3]:
+    shared = KKTFactor(a, b)
+    for g in np.eye(b.shape[0])[:3]:
         with pytest.raises(ConvergenceError):
-            solve_saddle(SaddleSystem(system.a, system.b, system.rhs_primal, g, shared))
+            solve_saddle(shared, g)
 
 
-def test_kkt_factor_stores_the_transposed_constraints(rng):
-    # the backward-error check multiplies by a stored CSR B', and a shared
-    # factor gives the same solution as a factorization per solve
+def test_kkt_factor_stores_the_transposed_constraints():
+    # the backward-error check multiplies by a stored CSR B', and a factor
+    # shared by several right-hand sides gives what a fresh one gives each
     mesh, op, meas = _random_contrast(4, 2)
-    a, b, f, g = _patch_kkt(mesh, op, meas, 3)
+    a, b, _ = _patch_kkt(mesh, op, meas, 3)
     factor = KKTFactor(a, b)
     assert factor.bt.format == "csr"
     assert np.array_equal(factor.bt.toarray(), b.T.toarray())
-    f = rng.standard_normal(f.size)
-    x, lam = solve_saddle(SaddleSystem(a, b, f, g))
-    x_s, lam_s = solve_saddle(SaddleSystem(a, b, f, g, factor))
-    assert np.array_equal(x, x_s) and np.array_equal(lam, lam_s)
+    for g in np.eye(b.shape[0])[:3]:
+        x, lam = solve_saddle(KKTFactor(a, b), g)
+        x_s, lam_s = solve_saddle(factor, g)
+        assert np.array_equal(x, x_s) and np.array_equal(lam, lam_s)
