@@ -133,7 +133,8 @@ def parse_config(path: str | None, overrides: list[tuple[str, str]]) -> dict:
     return values
 
 
-def build_field(cfg: dict) -> coeff.CoefficientField:
+def build_field(cfg: dict):
+    """The coefficient field coeff.kind names, as a callable (x, y) -> kappa."""
     kind = cfg["coeff.kind"]
     extent = (0.0, cfg["mesh.lx"], 0.0, cfg["mesh.ly"])
     if kind == "constant":
@@ -280,6 +281,25 @@ def _tick_values(lo: float, hi: float, log: bool) -> list[float]:
     return ticks
 
 
+def _axis(values, log: bool, start: float, end: float):
+    """Map data values onto pixels start..end (log10 scale if log); returns
+    the map and the (pixel, value) ticks that fall within the axis."""
+    lo, hi = min(values), max(values)
+    if log:
+        lo, hi = math.log10(lo), math.log10(hi)
+    if hi == lo:
+        hi = lo + 1.0
+
+    def pixel(v):
+        t = math.log10(v) if log else v
+        return start + (t - lo) / (hi - lo) * (end - start)
+
+    ticks = [(pixel(tv), tv) for tv in
+             _tick_values(10 ** lo if log else lo, 10 ** hi if log else hi, log)]
+    first, last = min(start, end) - 0.5, max(start, end) + 0.5
+    return pixel, [(p, tv) for p, tv in ticks if first <= p <= last]
+
+
 def emit_svg(table: ResultTable, x: str, ys: list[str], path,
              logx: bool = False, logy: bool = False, title: str = "") -> None:
     """Self-contained deterministic SVG line plot of selected columns."""
@@ -310,25 +330,8 @@ def emit_svg(table: ResultTable, x: str, ys: list[str], path,
 
     w, h = 640, 440
     ml, mr, mt, mb = 70, 150, 30, 45
-    x0, x1 = min(xs_all), max(xs_all)
-    y0, y1 = min(ys_all), max(ys_all)
-    if logx:
-        x0, x1 = math.log10(x0), math.log10(x1)
-    if logy:
-        y0, y1 = math.log10(y0), math.log10(y1)
-    if x1 == x0:
-        x1 = x0 + 1.0
-    if y1 == y0:
-        y1 = y0 + 1.0
-
-    def sx(v):
-        t = math.log10(v) if logx else v
-        return ml + (t - x0) / (x1 - x0) * (w - ml - mr)
-
-    def sy(v):
-        t = math.log10(v) if logy else v
-        return h - mb - (t - y0) / (y1 - y0) * (h - mt - mb)
-
+    sx, xticks = _axis(xs_all, logx, ml, w - mr)
+    sy, yticks = _axis(ys_all, logy, h - mb, mt)   # pixel y grows downwards
     colors = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -338,10 +341,7 @@ def emit_svg(table: ResultTable, x: str, ys: list[str], path,
         f'<rect x="{ml}" y="{mt}" width="{w - ml - mr}" height="{h - mt - mb}" '
         'fill="none" stroke="black"/>',
     ]
-    for tv in _tick_values(10 ** x0 if logx else x0, 10 ** x1 if logx else x1, logx):
-        px = sx(tv)
-        if px < ml - 0.5 or px > w - mr + 0.5:
-            continue
+    for px, tv in xticks:
         parts.append(
             f'<line x1="{px:.2f}" y1="{h - mb}" x2="{px:.2f}" y2="{h - mb + 5}" stroke="black"/>'
         )
@@ -349,10 +349,7 @@ def emit_svg(table: ResultTable, x: str, ys: list[str], path,
             f'<text x="{px:.2f}" y="{h - mb + 18}" font-size="10" text-anchor="middle" '
             f'font-family="sans-serif">{tv:.3g}</text>'
         )
-    for tv in _tick_values(10 ** y0 if logy else y0, 10 ** y1 if logy else y1, logy):
-        py = sy(tv)
-        if py < mt - 0.5 or py > h - mb + 0.5:
-            continue
+    for py, tv in yticks:
         parts.append(
             f'<line x1="{ml - 5}" y1="{py:.2f}" x2="{ml}" y2="{py:.2f}" stroke="black"/>'
         )
@@ -411,18 +408,34 @@ def _initial_guess(cfg: dict, problem: solvers.Problem,
     raise ConfigError(f"unknown initial guess {kind!r}")
 
 
+def _run(problem: solvers.Problem, cfg: dict, ref: solvers.SolveReport | None,
+         j_ref: float | None, csv_path: str, meta: dict,
+         **overrides) -> solvers.SolveReport:
+    """Solve from the configured initial guess, with energy errors against
+    j_ref, and write the run's iteration CSV to csv_path."""
+    rep = solvers.solve(problem, solver_config(cfg, **overrides),
+                        u0=_initial_guess(cfg, problem, ref),
+                        reference_energy=j_ref)
+    os.makedirs(os.path.dirname(csv_path), exist_ok=True)
+    write_csv(iteration_table(rep, meta=meta), csv_path)
+    return rep
+
+
+def _summary(out: str, table: ResultTable, x: str, ys: list[str], svg: str,
+             **plot) -> None:
+    write_csv(table, os.path.join(out, "summary.csv"))
+    emit_svg(table, x, ys, os.path.join(out, svg), **plot)
+
+
 def run_solve(cfg: dict, out: str, jobs: int) -> None:
     problem = build_problem(cfg)
     reference = _fine_reference(problem, cfg) if cfg["solve.reference"] else None
-    report = solvers.solve(problem, solver_config(cfg),
-                           u0=_initial_guess(cfg, problem, reference),
-                           reference_energy=None if reference is None
-                           else reference.final_energy)
-    table = iteration_table(report, meta={"experiment": "solve"})
-    write_csv(table, os.path.join(out, "iterations.csv"))
+    report = _run(problem, cfg, reference,
+                  None if reference is None else reference.final_energy,
+                  os.path.join(out, "iterations.csv"), {"experiment": "solve"})
     if len(report.records) > 1:
-        emit_svg(table, "n", ["energy"], os.path.join(out, "energy.svg"),
-                 title="energy history")
+        emit_svg(iteration_table(report), "n", ["energy"],
+                 os.path.join(out, "energy.svg"), title="energy history")
     summary = ResultTable(
         columns=["converged", "iterations", "final_energy"],
         rows=[[float(report.converged), len(report.records) - 1, report.final_energy]],
@@ -440,30 +453,25 @@ def run_compare_methods(cfg: dict, out: str, jobs: int) -> None:
     methods = cfg["compare.methods"]
 
     def one(method: str):
-        scfg = solver_config(cfg, method=method, space="fine",
-                             max_iters=cfg["compare.max_iters"])
-        return method, solvers.solve(problem, scfg,
-                                     u0=_initial_guess(cfg, problem, reference),
-                                     reference_energy=j_ref)
+        return _run(problem, cfg, reference, j_ref,
+                    os.path.join(out, f"iterations_{method}.csv"),
+                    {"method": method}, method=method, space="fine",
+                    max_iters=cfg["compare.max_iters"])
 
-    results = _map(jobs, one, methods)
+    reports = _map(jobs, one, methods)
     merged_cols = ["n"] + [f"err_{m}" for m in methods]
-    n_max = max(len(rep.records) for _, rep in results)
+    n_max = max(len(rep.records) for rep in reports)
     merged_rows = []
     for n in range(n_max):
         row = [float(n)]
-        for _, rep in results:
+        for rep in reports:
             row.append(rep.records[n].energy_error
                        if n < len(rep.records) else math.nan)
         merged_rows.append(row)
     merged = ResultTable(columns=merged_cols, rows=merged_rows,
                          meta={"experiment": "compare-methods"})
-    write_csv(merged, os.path.join(out, "summary.csv"))
-    emit_svg(merged, "n", merged_cols[1:], os.path.join(out, "energy_error.svg"),
+    _summary(out, merged, "n", merged_cols[1:], "energy_error.svg",
              logy=True, title="energy error by method")
-    for method, rep in results:
-        write_csv(iteration_table(rep, meta={"method": method}),
-                  os.path.join(out, f"iterations_{method}.csv"))
 
 
 def run_homogenization_error(cfg: dict, out: str, jobs: int) -> None:
@@ -482,28 +490,20 @@ def run_homogenization_error(cfg: dict, out: str, jobs: int) -> None:
         level = (fine_n // nc).bit_length() - 1
         problem = build_problem(cfg, nc_x=nc, nc_y=nc, level=level)
         ref = _fine_reference(problem, cfg)
-        scfg = solver_config(cfg, space="coarse")
-        rep = solvers.solve(problem, scfg,
-                            u0=_initial_guess(cfg, problem, ref),
-                            reference_energy=ref.final_energy)
+        rep = _run(problem, cfg, ref, ref.final_energy,
+                   os.path.join(out, f"nc_{nc}", "iterations.csv"), {"nc": nc},
+                   space="coarse")
         h1, w1p = fem.error_norms(rep.state, ref.state, p)
         energy_err = problem.energy(rep.state) - ref.final_energy
-        sub = os.path.join(out, f"nc_{nc}")
-        os.makedirs(sub, exist_ok=True)
-        write_csv(iteration_table(rep, meta={"nc": nc}),
-                  os.path.join(sub, "iterations.csv"))
         h_coarse = max(cfg["mesh.lx"] / nc, cfg["mesh.ly"] / nc)
         return [h_coarse, float(2 * nc * nc), h1, w1p, energy_err]
 
-    rows = _map(jobs, one, nc_list)
     table = ResultTable(
         columns=["H", "n_coarse", "h1_error", "w1p_error", "energy_error"],
-        rows=rows, meta={"experiment": "homogenization-error"},
+        rows=_map(jobs, one, nc_list), meta={"experiment": "homogenization-error"},
     )
-    write_csv(table, os.path.join(out, "summary.csv"))
-    emit_svg(table, "H", ["h1_error", "w1p_error", "energy_error"],
-             os.path.join(out, "errors.svg"), logx=True, logy=True,
-             title="homogenization error vs H")
+    _summary(out, table, "H", ["h1_error", "w1p_error", "energy_error"],
+             "errors.svg", logx=True, logy=True, title="homogenization error vs H")
 
 
 def run_regularization_study(cfg: dict, out: str, jobs: int) -> None:
@@ -522,16 +522,13 @@ def run_regularization_study(cfg: dict, out: str, jobs: int) -> None:
         gap = abs(j_unreg - rep.final_energy)
         return [eps_pow, rep.final_energy, gap]
 
-    rows = _map(jobs, one, eps_list)
     table = ResultTable(
         columns=["eps_minus_pow", "energy", "energy_gap"],
-        rows=rows, meta={"experiment": "regularization-study",
-                         "unregularized_energy": j_unreg},
+        rows=_map(jobs, one, eps_list),
+        meta={"experiment": "regularization-study", "unregularized_energy": j_unreg},
     )
-    write_csv(table, os.path.join(out, "summary.csv"))
-    emit_svg(table, "eps_minus_pow", ["energy_gap"],
-             os.path.join(out, "gap.svg"), logx=True, logy=True,
-             title="regularization energy gap")
+    _summary(out, table, "eps_minus_pow", ["energy_gap"], "gap.svg",
+             logx=True, logy=True, title="regularization energy gap")
 
 
 def run_sparse_update_study(cfg: dict, out: str, jobs: int) -> None:
@@ -540,33 +537,21 @@ def run_sparse_update_study(cfg: dict, out: str, jobs: int) -> None:
     p = cfg["nfunc.p"]
     n_basis = problem.mesh.n_coarse_triangles
 
-    def run_with(threshold: float | None, tag: str):
-        scfg = solver_config(cfg, space="coarse",
-                             sparse_update_threshold=threshold)
-        rep = solvers.solve(problem, scfg,
-                            u0=_initial_guess(cfg, problem, ref),
-                            reference_energy=ref.final_energy)
-        ups = [r.bases_updated for r in rep.records[:-1]]
-        later = ups[1:]
+    rows = []
+    for d in [None, *cfg["sparse.delta_list"]]:
+        tag = "full" if d is None else f"{d:g}"
+        rep = _run(problem, cfg, ref, ref.final_energy,
+                   os.path.join(out, f"delta_{tag}", "iterations.csv"),
+                   {"delta_i": tag}, space="coarse", sparse_update_threshold=d)
+        later = [r.bases_updated for r in rep.records[1:-1]]
         frac = sum(later) / (n_basis * len(later)) if later else 1.0
         h1 = fem.error_norms(rep.state, ref.state, p)[0]
-        sub = os.path.join(out, f"delta_{tag}")
-        os.makedirs(sub, exist_ok=True)
-        write_csv(iteration_table(rep, meta={"delta_i": tag}),
-                  os.path.join(sub, "iterations.csv"))
-        return frac, h1
-
-    frac0, h1_full = run_with(None, "full")
-    rows = [[0.0, frac0 * 100.0, h1_full]]
-    for d in cfg["sparse.delta_list"]:
-        frac, h1 = run_with(d, f"{d:g}")
-        rows.append([d, frac * 100.0, h1])
+        rows.append([0.0 if d is None else d, frac * 100.0, h1])
     table = ResultTable(
         columns=["delta_i", "update_percent", "h1_error"],
         rows=rows, meta={"experiment": "sparse-update-study"},
     )
-    write_csv(table, os.path.join(out, "summary.csv"))
-    emit_svg(table, "delta_i", ["h1_error"], os.path.join(out, "h1_error.svg"),
+    _summary(out, table, "delta_i", ["h1_error"], "h1_error.svg",
              logy=True, title="accuracy vs update threshold")
 
 
@@ -603,13 +588,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    os.makedirs(args.out, exist_ok=True)
-    t0 = time.time()
-    try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+        os.makedirs(args.out, exist_ok=True)
+        t0 = time.time()
         _RUNNERS[args.experiment](cfg, args.out, args.jobs)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

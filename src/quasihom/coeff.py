@@ -3,7 +3,8 @@
 Supported kinds: the multiscale trigonometric formula, cell-centered grid
 data loaded from plain-text files (SPE10-slice convention: row-major,
 row 0 at y-min), constants, and a synthetic high-contrast channel generator
-used as a stand-in when benchmark data is not available.
+used as a stand-in when benchmark data is not available. A field is any
+callable ``(x, y) -> values``; grid data and channels share ``GridField``.
 """
 
 from __future__ import annotations
@@ -56,26 +57,13 @@ def mstrig_eval(x, y):
 
 
 @dataclass(frozen=True)
-class CoefficientField:
-    """kappa(x) as formula, grid data, constant, or synthetic channels."""
+class GridField:
+    """kappa from cell-centered grid data over extent (x0, x1, y0, y1)."""
 
-    kind: str
-    value: float = 1.0
-    grid: np.ndarray | None = None          # (rows, cols), row 0 at y-min
+    grid: np.ndarray                        # (rows, cols), row 0 at y-min
     extent: tuple[float, float, float, float] = (0.0, 1.0, 0.0, 1.0)
 
     def __call__(self, x, y):
-        if self.kind == "mstrig":
-            return mstrig_eval(x, y)
-        if self.kind == "constant":
-            x = np.asarray(x, dtype=float)
-            out = np.full_like(x, self.value)
-            return out if out.ndim else float(out)
-        if self.kind in ("grid", "channels"):
-            return self._grid_lookup(x, y)
-        raise ValueError(f"unknown coefficient kind {self.kind!r}")
-
-    def _grid_lookup(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         x0, x1, y0, y1 = self.extent
@@ -91,18 +79,22 @@ class CoefficientField:
         return out if np.ndim(out) else float(out)
 
 
-def constant_field(value: float) -> CoefficientField:
+def constant_field(value: float):
     if value <= 0:
         raise ValueError("coefficient must be positive")
-    return CoefficientField(kind="constant", value=value)
+
+    def field(x, y):
+        out = np.full_like(np.asarray(x, dtype=float), value)
+        return out if out.ndim else float(out)
+    return field
 
 
-def mstrig_field() -> CoefficientField:
-    return CoefficientField(kind="mstrig")
+def mstrig_field():
+    return mstrig_eval
 
 
 def load_grid(path, rows: int, cols: int,
-              extent=(0.0, 1.0, 0.0, 1.0)) -> CoefficientField:
+              extent=(0.0, 1.0, 0.0, 1.0)) -> GridField:
     """Load a whitespace-separated grid file: rows*cols positive decimals,
     row-major with row 0 at y-min."""
     if rows < 1 or cols < 1:
@@ -132,11 +124,11 @@ def load_grid(path, rows: int, cols: int,
         raise GridValueError(
             f"{path}: nonpositive value at row {bad[0]}, col {bad[1]}"
         )
-    return CoefficientField(kind="grid", grid=grid, extent=tuple(extent))
+    return GridField(grid, tuple(extent))
 
 
 def synth_channels(rows: int, cols: int, n_channels: int, contrast: float,
-                   seed: int, extent=(0.0, 1.0, 0.0, 1.0)) -> CoefficientField:
+                   seed: int, extent=(0.0, 1.0, 0.0, 1.0)) -> GridField:
     """Background-1 grid with meandering high-value bands, deterministic per seed."""
     if rows < 1 or cols < 1 or n_channels < 1:
         raise ValueError("counts must be >= 1")
@@ -153,7 +145,7 @@ def synth_channels(rows: int, cols: int, n_channels: int, contrast: float,
             # meander: biased random walk in the row direction
             r += int(rng.integers(-1, 2))
             r = min(max(r, width - 1), rows - 1)
-    return CoefficientField(kind="channels", grid=grid, extent=tuple(extent))
+    return GridField(grid, tuple(extent))
 
 
 @dataclass(frozen=True)
@@ -165,8 +157,8 @@ class ElementCoefficients:
             raise ValueError("element coefficients must be positive")
 
 
-def sample_on_mesh(field: CoefficientField, mesh: Mesh) -> ElementCoefficients:
-    """One value per fine triangle, evaluated at the barycenter."""
+def sample_on_mesh(field, mesh: Mesh) -> ElementCoefficients:
+    """One value per fine triangle: field(x, y) at the barycenter."""
     bary = mesh.geometry()[3]
     vals = np.asarray(field(bary[:, 0], bary[:, 1]), dtype=float)
     return ElementCoefficients(values=vals)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 
 @dataclass
@@ -185,21 +186,6 @@ def refine(mesh: Mesh, j: int) -> Mesh:
     return _structured(mesh.ncx, mesh.ncy, mesh.lx, mesh.ly, mesh.level + j)
 
 
-def _coarse_vertex_incidence(mesh: Mesh):
-    """Coarse-grid triangle connectivity: (triangle vertices, vertex -> triangles)."""
-    key = "coarse_inc"
-    if key not in mesh._cache:
-        coarse = _structured(mesh.ncx, mesh.ncy, mesh.lx, mesh.ly, 0)
-        tris = coarse.triangles
-        nvert = coarse.n_vertices
-        order = np.argsort(tris.ravel(), kind="stable")
-        tri_of = order // 3
-        counts = np.bincount(tris.ravel(), minlength=nvert)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        mesh._cache[key] = (tris, tri_of, offsets)
-    return mesh._cache[key]
-
-
 def build_patch(mesh: Mesh, i: int, layers: int) -> Patch:
     """Grow the patch of coarse element i by vertex-sharing adjacency, layers times."""
     if not mesh.is_structured:
@@ -210,22 +196,23 @@ def build_patch(mesh: Mesh, i: int, layers: int) -> Patch:
     if layers < 0:
         raise ValueError("layers must be >= 0")
 
-    tris, tri_of, offsets = _coarse_vertex_incidence(mesh)
+    inc = mesh._cache.get("coarse_inc")   # coarse triangle-vertex incidence
+    if inc is None:
+        tris = _structured(mesh.ncx, mesh.ncy, mesh.lx, mesh.ly, 0).triangles
+        inc = mesh._cache["coarse_inc"] = sp.csr_matrix(
+            (np.ones(tris.size, dtype=np.int64),
+             (np.repeat(np.arange(n_coarse), 3), tris.ravel())))
     in_patch = np.zeros(n_coarse, dtype=bool)
     in_patch[i] = True
     for _ in range(layers):
-        verts = np.unique(tris[in_patch].ravel())
-        touched = np.unique(
-            np.concatenate([tri_of[offsets[v] : offsets[v + 1]] for v in verts])
-        )
-        grown = in_patch.copy()
-        grown[touched] = True
+        # triangles that share a vertex with the patch
+        grown = inc @ (inc.T @ in_patch) > 0
         if np.array_equal(grown, in_patch):
             break
         in_patch = grown
     elements = np.flatnonzero(in_patch)
 
-    fine_elements = np.flatnonzero(np.isin(mesh.parent, elements))
+    fine_elements = np.flatnonzero(in_patch[mesh.parent])
     sub_tris = mesh.triangles[fine_elements]
     in_count = np.bincount(sub_tris.ravel(), minlength=mesh.n_vertices)
     total = mesh.node_to_triangle_count()

@@ -167,10 +167,6 @@ def poisson_initial(problem: Problem) -> fem.FemState:
     return problem.state(problem.expand(u_free))
 
 
-def _operator_mode(method: str) -> str:
-    return {"gd": "gd", "pgd": "pgd", "newton": "newton", "quasinorm": "pgd"}[method]
-
-
 def search_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig,
                      op: sp.csr_matrix | None = None,
                      r: np.ndarray | None = None) -> np.ndarray:
@@ -178,7 +174,7 @@ def search_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig,
     if r is None:
         r = problem.residual(state)
     if op is None:
-        op = problem.operator(state, _operator_mode(cfg.method))
+        op = problem.operator(state, cfg.method)
     return sparsela.factorized_spd(op)(-r)
 
 
@@ -428,7 +424,6 @@ def solve(problem: Problem, cfg: SolverConfig,
         state = problem.state(u0)
 
     records: list[IterationRecord] = []
-    mode = _operator_mode(cfg.method)
     ls_mode = cfg.line_search      # a regularized search drops to "plain" for good
 
     meas = None
@@ -467,14 +462,16 @@ def solve(problem: Problem, cfg: SolverConfig,
             r = problem.residual(state)
             rec.residual_l2h = problem.residual_l2h(r)
             try:
-                op = problem.operator(state, mode)
+                # the quasi-norm direction assembles its own stiffness
+                if cfg.method != "quasinorm":
+                    op = problem.operator(state, cfg.method)
                 if cfg.space == "coarse":
                     if space is None or cfg.sparse_update_threshold is None:
                         space = grps.compute_basis(op, meas, mesh, layers=layers)
                         rec.bases_updated = space.n_basis
                     else:
                         incr = problem.state(state.u - prev_u)
-                        op_incr = problem.operator(incr, mode)
+                        op_incr = problem.operator(incr, cfg.method)
                         ind = grps.update_indicators(op_incr, space)
                         sel = np.flatnonzero(ind >= cfg.sparse_update_threshold)
                         space = grps.refresh_basis(space, op, meas, mesh, sel)

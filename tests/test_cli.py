@@ -178,6 +178,50 @@ def test_sparse_update_study_monotone(tmp_path):
     assert all(a <= b * (1 + 1e-9) for a, b in zip(h1s, h1s[1:]))
 
 
+def _summary_rows(path):
+    lines = [ln for ln in path.read_text().splitlines()
+             if ln and not ln.startswith("#")]
+    return lines[0].split(","), [list(map(float, ln.split(","))) for ln in lines[1:]]
+
+
+def test_homogenization_error_writes_one_row_per_nc(tmp_path):
+    def run(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        rc = main([
+            "homogenization-error", "--out", str(out), "--jobs", str(jobs),
+            "--nfunc.p", "5", "--coeff.kind", "mstrig",
+            "--hom.nc_list", "2,4", "--hom.fine_n", "16",
+        ])
+        assert rc == 0
+        return out
+
+    out = run(1)
+    for nc in (2, 4):
+        assert (out / f"nc_{nc}" / "iterations.csv").exists()
+    assert (out / "errors.svg").exists()
+    header, rows = _summary_rows(out / "summary.csv")
+    assert header == ["H", "n_coarse", "h1_error", "w1p_error", "energy_error"]
+    assert [r[:2] for r in rows] == [[0.5, 8.0], [0.25, 32.0]]
+    # each nc builds its own Problem; the threads must not change a byte
+    assert ((run(2) / "summary.csv").read_bytes()
+            == (out / "summary.csv").read_bytes())
+
+
+def test_regularization_study_writes_one_row_per_eps(tmp_path):
+    rc = main([
+        "regularization-study", "--out", str(tmp_path),
+        "--nfunc.p", "5", "--coeff.kind", "mstrig",
+        "--mesh.nc_x", "4", "--mesh.nc_y", "4",
+        "--reg.eps_list", "1e-2,1e-4",
+    ])
+    assert rc == 0
+    assert (tmp_path / "gap.svg").exists()
+    header, rows = _summary_rows(tmp_path / "summary.csv")
+    assert header == ["eps_minus_pow", "energy", "energy_gap"]
+    assert [r[0] for r in rows] == [1e-2, 1e-4]
+    assert all(r[2] > 0 for r in rows)
+
+
 def test_emit_svg_deterministic(tmp_path):
     table = ResultTable(columns=["x", "y"], rows=[[1.0, 2.0], [2.0, 3.0], [3.0, 5.0]])
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
@@ -233,10 +277,14 @@ def test_csv_17_digit_format(tmp_path):
     ["solve", "--coeff.kind", "grid", "--coeff.path", os.path.join(DATA, "toy_grid_4x3.txt")],
     ["solve", "--coeff.kind", "grid", "--coeff.path", os.path.join(DATA, "toy_grid_4x3.txt"),
      "--coeff.rows", "4"],
+    # jobs <= 1 runs serially, so these used to pass without a word
+    ["solve", "--jobs", "0"],
+    ["solve", "--jobs", "-2"],
 ], ids=["delta_i", "nfunc_p", "nc_list", "inner_cap", "cq", "inner_tol",
         "max_iters", "fine_n_below_nc", "fine_n_zero", "nc_zero",
         "nc_negative", "nc_list_empty", "eps_list_empty", "methods_empty",
-        "grid_empty_no_dims", "grid_no_dims", "grid_no_cols"])
+        "grid_empty_no_dims", "grid_no_dims", "grid_no_cols", "jobs_zero",
+        "jobs_negative"])
 def test_main_bad_value_exit_code(tmp_path, args):
     rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),
                "--out", str(tmp_path)])

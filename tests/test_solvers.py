@@ -361,6 +361,16 @@ def test_quasinorm_inner_cap_is_recorded_not_a_stop_reason(max_iters, reason, it
     assert not rep.records[-1].inner_unsolved
 
 
+def test_quasinorm_solve_assembles_no_operator(monkeypatch):
+    # its direction builds its own stiffness, and c_tilde skips quasinorm,
+    # so a linearized operator would go unused
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    monkeypatch.setattr(pr, "operator",
+                        lambda *args: pytest.fail("operator assembled"))
+    rep = solvers.solve(pr, SolverConfig(method="quasinorm", max_iters=3))
+    assert len(rep.records) == 4
+
+
 def test_quasinorm_inner_cap_zero_never_converges():
     # a zero inner cap gives the zero direction, which the stationary exit
     # would read as converged; the config is rejected before any iteration
