@@ -260,25 +260,31 @@ def iteration_table(report: solvers.SolveReport, meta=None) -> ResultTable:
     return ResultTable(columns=cols, rows=rows, meta=meta)
 
 
+def _span(lo: float, hi: float) -> float:
+    """hi - lo; or, where that is too few ulps of the values to hold distinct
+    ticks (tick steps are at least a sixth of the span), the span of a flat
+    axis: 1, or 2**-20 of the values' size where that is wider."""
+    size = max(abs(lo), abs(hi))
+    if hi - lo < 8.0 * math.ulp(size):
+        return max(1.0, 2.0 ** -20 * size)
+    return hi - lo
+
+
 def _tick_values(lo: float, hi: float, log: bool) -> list[float]:
     if log:
         lo_e = math.floor(math.log10(lo))
         hi_e = math.ceil(math.log10(hi))
         step = max(1, int(math.ceil((hi_e - lo_e) / 8)))
         return [10.0 ** e for e in range(int(lo_e), int(hi_e) + 1, step)]
-    span = hi - lo or 1.0
+    span = _span(lo, hi)
     step = 10.0 ** math.floor(math.log10(span / 4))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= 6:
             step *= mult
             break
     first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * span:
-        ticks.append(t)
-        t += step
-    return ticks
+    count = math.floor((hi + 1e-12 * span - first) / step) + 1
+    return [first + k * step for k in range(count)]
 
 
 def _axis(values, log: bool, start: float, end: float):
@@ -287,8 +293,9 @@ def _axis(values, log: bool, start: float, end: float):
     lo, hi = min(values), max(values)
     if log:
         lo, hi = math.log10(lo), math.log10(hi)
-    if hi == lo:
-        hi = lo + 1.0
+    span = _span(lo, hi)
+    if span != hi - lo:
+        hi = lo + span
 
     def pixel(v):
         t = math.log10(v) if log else v
@@ -537,8 +544,7 @@ def run_sparse_update_study(cfg: dict, out: str, jobs: int) -> None:
     p = cfg["nfunc.p"]
     n_basis = problem.mesh.n_coarse_triangles
 
-    rows = []
-    for d in [None, *cfg["sparse.delta_list"]]:
+    def one(d: float | None):
         tag = "full" if d is None else f"{d:g}"
         rep = _run(problem, cfg, ref, ref.final_energy,
                    os.path.join(out, f"delta_{tag}", "iterations.csv"),
@@ -546,10 +552,12 @@ def run_sparse_update_study(cfg: dict, out: str, jobs: int) -> None:
         later = [r.bases_updated for r in rep.records[1:-1]]
         frac = sum(later) / (n_basis * len(later)) if later else 1.0
         h1 = fem.error_norms(rep.state, ref.state, p)[0]
-        rows.append([0.0 if d is None else d, frac * 100.0, h1])
+        return [0.0 if d is None else d, frac * 100.0, h1]
+
     table = ResultTable(
         columns=["delta_i", "update_percent", "h1_error"],
-        rows=rows, meta={"experiment": "sparse-update-study"},
+        rows=_map(jobs, one, [None, *cfg["sparse.delta_list"]]),
+        meta={"experiment": "sparse-update-study"},
     )
     _summary(out, table, "delta_i", ["h1_error"], "h1_error.svg",
              logy=True, title="accuracy vs update threshold")

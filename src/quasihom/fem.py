@@ -25,12 +25,19 @@ from .coeff import ElementCoefficients
 from .mesh import Mesh
 
 MODES = ("gd", "pgd", "newton")
+_TINY = np.finfo(float).tiny
 
 
 class FemState:
-    """Nodal vector with zero boundary values and a per-element gradient cache."""
+    """Nodal vector with zero boundary values and a per-element gradient cache.
 
-    def __init__(self, mesh: Mesh, u: np.ndarray | None = None):
+    `grads`, when given, is taken as the (nt, 2) element gradients of u
+    instead of applying the gradient operator: the line search forms its
+    trial gradients as linear combinations of known ones.
+    """
+
+    def __init__(self, mesh: Mesh, u: np.ndarray | None = None,
+                 grads: np.ndarray | None = None):
         self.mesh = mesh
         if u is None:
             u = np.zeros(mesh.n_vertices)
@@ -40,7 +47,7 @@ class FemState:
                 raise ValueError("state size does not match mesh")
             u[mesh.boundary_nodes] = 0.0
         self.u = u
-        self._grads = None
+        self._grads = grads
 
     def grads(self) -> np.ndarray:
         """(nt, 2) array of element gradients of u."""
@@ -49,8 +56,19 @@ class FemState:
         return self._grads
 
     def grad_norms(self) -> np.ndarray:
+        """|grad u| per element: sqrt(gx^2 + gy^2), several times cheaper than
+        np.hypot, and np.hypot's value where the squared sum is not a finite
+        normal number (it overflowed, underflowed or is nan)."""
         g = self.grads()
-        return np.hypot(g[:, 0], g[:, 1])
+        gx, gy = g[:, 0], g[:, 1]
+        with np.errstate(over="ignore"):
+            s = gx * gx + gy * gy
+        norms = np.sqrt(s)
+        # by index: a boolean mask would be scanned three times for the few
+        # entries (zero gradients, at least) that it selects
+        bad = np.flatnonzero(~((s >= _TINY) & (s < math.inf)))
+        norms[bad] = np.hypot(gx[bad], gy[bad])
+        return norms
 
 
 def assemble_mass(mesh: Mesh) -> sp.csr_matrix:

@@ -158,6 +158,15 @@ class Problem:
                 w_free: np.ndarray) -> fem.FemState:
         return fem.FemState(self.mesh, state.u + alpha * self.expand(w_free))
 
+    def along(self, state: fem.FemState, direction: fem.FemState,
+              alpha: float) -> fem.FemState:
+        """state + alpha * direction, with the element gradients combined the
+        same way (the gradient operator is linear); they equal the gradients
+        of the nodal values up to round-off."""
+        grads = alpha * direction.grads()
+        grads += state.grads()
+        return fem.FemState(self.mesh, state.u + alpha * direction.u, grads=grads)
+
 
 def poisson_initial(problem: Problem) -> fem.FemState:
     """Linear solve with the heterogeneous coefficient as initial guess."""
@@ -167,14 +176,9 @@ def poisson_initial(problem: Problem) -> fem.FemState:
     return problem.state(problem.expand(u_free))
 
 
-def search_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig,
-                     op: sp.csr_matrix | None = None,
-                     r: np.ndarray | None = None) -> np.ndarray:
-    """Fine-space direction: solve A[u] w = -J'(u) over free nodes."""
-    if r is None:
-        r = problem.residual(state)
-    if op is None:
-        op = problem.operator(state, cfg.method)
+def search_direction(op: sp.csr_matrix, r: np.ndarray) -> np.ndarray:
+    """Fine-space direction: solve A[u] w = -J'(u) over free nodes, given the
+    linearized operator op = A[u] and the residual r = J'(u)."""
     return sparsela.factorized_spd(op)(-r)
 
 
@@ -295,6 +299,8 @@ def line_search(problem: Problem, state: fem.FemState, w_free: np.ndarray,
     Returns (alpha, rho, lam). `rho` compares the realized energy change
     against its first-order model (absolute value, so the quadratic ideal is
     1/2); `lam` is the residual penalty weight (nan outside regularized mode).
+    Trial points are ``problem.along`` the direction's state, so a trial
+    costs no gradient-operator product.
     """
     mode = mode or cfg.line_search
     if r is None:
@@ -303,10 +309,11 @@ def line_search(problem: Problem, state: fem.FemState, w_free: np.ndarray,
     if g0 >= 0:
         raise LineSearchError("not a descent direction")
     j0 = problem.energy(state)
+    d = problem.state(problem.expand(w_free))
 
     # a long trial step may overflow to an infinite J, which the search rejects
     def energy_at(alpha: float) -> float:
-        return problem.energy(problem.stepped(state, alpha, w_free))
+        return problem.energy(problem.along(state, d, alpha))
 
     lam = math.nan
     if mode == "none":
@@ -315,7 +322,7 @@ def line_search(problem: Problem, state: fem.FemState, w_free: np.ndarray,
         alpha = _bracket_and_golden(energy_at, j0)
     elif mode == "residual_regularized":
         def trial(alpha: float) -> tuple[float, float]:
-            st = problem.stepped(state, alpha, w_free)
+            st = problem.along(state, d, alpha)
             return problem.energy(st), problem.residual_l2h(problem.residual(st)) ** 2
 
         (e_p, r_p), (e_m, r_m) = trial(FD_STEP), trial(-FD_STEP)
@@ -481,7 +488,7 @@ def solve(problem: Problem, cfg: SolverConfig,
                     w, inner_ok = quasinorm_direction(problem, state, cfg, r=r)
                     rec.inner_unsolved = not inner_ok
                 else:
-                    w = search_direction(problem, state, cfg, op=op, r=r)
+                    w = search_direction(op, r)
                 if not np.all(np.isfinite(w)):
                     raise sparsela.SolveError("non-finite direction")
             except sparsela.SolveError as exc:

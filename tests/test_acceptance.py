@@ -101,7 +101,8 @@ def test_c03_linear_reduction():
     for field in fields:
         pr = _problem(4, 2, 2.0, field)
         m = pr.mesh
-        w = solvers.search_direction(pr, pr.state(), SolverConfig(method="newton"))
+        st = pr.state()
+        w = solvers.search_direction(pr.operator(st, "newton"), pr.residual(st))
         k = fem.weighted_stiffness(m, pr.kappa.values)
         u_lin = np.linalg.solve(k.toarray(), pr.load[m.free_nodes])
         assert np.linalg.norm(w - u_lin) <= 1e-10 * np.linalg.norm(u_lin)

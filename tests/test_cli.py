@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -155,18 +156,25 @@ def test_compare_methods_gd_worst(tmp_path):
 
 
 def test_sparse_update_study_monotone(tmp_path):
-    rc = main([
-        "sparse-update-study", "--out", str(tmp_path),
-        "--nfunc.p", "20", "--coeff.kind", "channels",
-        "--coeff.rows", "16", "--coeff.cols", "16",
-        "--mesh.nc_x", "4", "--mesh.nc_y", "4",
-        "--solver.line_search", "residual_regularized",
-        "--solver.max_iters", "20",
-        "--sparse.delta_list", "5,500",
-    ])
-    assert rc == 0
+    def run(jobs):
+        out = tmp_path / f"jobs{jobs}"
+        rc = main([
+            "sparse-update-study", "--out", str(out), "--jobs", str(jobs),
+            "--nfunc.p", "20", "--coeff.kind", "channels",
+            "--coeff.rows", "16", "--coeff.cols", "16",
+            "--mesh.nc_x", "4", "--mesh.nc_y", "4",
+            "--solver.line_search", "residual_regularized",
+            "--solver.max_iters", "20",
+            "--sparse.delta_list", "5,500",
+        ])
+        assert rc == 0
+        return (out / "summary.csv").read_bytes()
+
+    summary = run(1)
+    # the thresholds share one Problem; the threads must not change a byte
+    assert run(2) == summary
     lines = [
-        ln for ln in (tmp_path / "summary.csv").read_text().splitlines()
+        ln for ln in summary.decode().splitlines()
         if ln and not ln.startswith("#")
     ]
     rows = [list(map(float, ln.split(","))) for ln in lines[1:]]
@@ -232,6 +240,19 @@ def test_emit_svg_deterministic(tmp_path):
     assert text.count("polyline") == 1
     poly = text.split('polyline points="')[1].split('"')[0]
     assert len(poly.split()) == 3
+
+
+@pytest.mark.parametrize("lo", [-0.5, 1e17])
+def test_ticks_of_values_one_ulp_apart(tmp_path, lo):
+    # the tick loop used to add a step below the ulp of its values forever,
+    # and a flat axis at 1e17 used to divide by lo + 1 - lo = 0
+    hi = math.nextafter(lo, math.inf)
+    ticks = cli._tick_values(lo, hi, False)
+    assert len(ticks) <= 6
+    assert all(lo <= t <= hi for t in ticks)
+    table = ResultTable(columns=["x", "y"], rows=[[0.0, lo], [1.0, hi]])
+    emit_svg(table, "x", ["y"], tmp_path / "flat.svg")
+    assert (tmp_path / "flat.svg").read_text().count("polyline") == 1
 
 
 def test_emit_svg_errors(tmp_path):

@@ -40,6 +40,19 @@ def test_state_zeroes_boundary():
     assert np.all(st.u[m.boundary_nodes] == 0.0)
 
 
+def test_grad_norms_match_hypot(rng):
+    pr = make_problem(4, 2)
+    st = random_state(pr, rng, scale=0.3)
+    g = st.grads()
+    ref = np.hypot(g[:, 0], g[:, 1])
+    assert np.all(np.abs(st.grad_norms() - ref) <= np.spacing(ref))
+    # squared sums that overflow or underflow take np.hypot's value exactly
+    for scale in (1e200, 1e-200):
+        big = FemState(pr.mesh, st.u, grads=scale * g)
+        gb = big.grads()
+        assert np.array_equal(big.grad_norms(), np.hypot(gb[:, 0], gb[:, 1]))
+
+
 def test_energy_zero_state():
     pr = make_problem(2, 1, p=4.0, nf_kind="power")
     assert pr.energy(pr.state()) == 0.0

@@ -1,13 +1,16 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from quasihom import coeff, fem, nfunc, solvers, sparsela
+from quasihom import cli, coeff, fem, nfunc, solvers, sparsela
 from quasihom.solvers import LineSearchError, SolverConfig
 
 from conftest import make_problem, random_state
 from oracles import estimate_cn_bisection, quasi_norm
+
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_config_validation():
@@ -49,18 +52,17 @@ def test_poisson_initial_is_p2_minimizer():
 def test_search_direction_descent(rng):
     pr = make_problem(4, 2, p=5.0, kind="mstrig")
     for method in ("gd", "pgd", "newton"):
-        cfg = SolverConfig(method=method)
         for _ in range(10):
             st = random_state(pr, rng, scale=0.3)
             r = pr.residual(st)
-            w = solvers.search_direction(pr, st, cfg, r=r)
+            w = solvers.search_direction(pr.operator(st, method), r)
             assert r @ w < 0
 
 
 def test_direction_at_minimizer_is_tiny():
     pr = make_problem(3, 2, p=2.0, kind="mstrig")
     st = solvers.poisson_initial(pr)
-    w = solvers.search_direction(pr, st, SolverConfig(method="newton"))
+    w = solvers.search_direction(pr.operator(st, "newton"), pr.residual(st))
     op = pr.operator(st, "newton")
     assert math.sqrt(abs(w @ (op @ w))) <= 1e-10
 
@@ -68,7 +70,7 @@ def test_direction_at_minimizer_is_tiny():
 def test_p2_newton_step_is_linear_solve():
     pr = make_problem(4, 2, p=2.0, kind="mstrig")
     st0 = pr.state()
-    w = solvers.search_direction(pr, st0, SolverConfig(method="newton"))
+    w = solvers.search_direction(pr.operator(st0, "newton"), pr.residual(st0))
     st1 = pr.stepped(st0, 1.0, w)
     assert np.abs(pr.residual(st1)).max() <= 1e-10
 
@@ -115,7 +117,7 @@ def test_line_search_quadratic_full_step():
     pr = make_problem(4, 2, p=2.0, kind="mstrig")
     st = pr.state()
     r = pr.residual(st)
-    w = solvers.search_direction(pr, st, SolverConfig(method="newton"), r=r)
+    w = solvers.search_direction(pr.operator(st, "newton"), r)
     alpha, rho, lam = solvers.line_search(pr, st, w, SolverConfig(), mode="plain", r=r)
     assert alpha == pytest.approx(1.0, abs=1e-5)
     assert rho == pytest.approx(0.5, abs=1e-4)
@@ -126,7 +128,7 @@ def test_line_search_half_direction_doubles_alpha():
     pr = make_problem(4, 2, p=2.0, kind="mstrig")
     st = pr.state()
     r = pr.residual(st)
-    w = solvers.search_direction(pr, st, SolverConfig(method="newton"), r=r)
+    w = solvers.search_direction(pr.operator(st, "newton"), r)
     a1, _, _ = solvers.line_search(pr, st, w, SolverConfig(), mode="plain", r=r)
     a2, _, _ = solvers.line_search(pr, st, 0.5 * w, SolverConfig(), mode="plain", r=r)
     assert a2 == pytest.approx(2.0 * a1, rel=1e-4)
@@ -136,9 +138,46 @@ def test_line_search_rejects_ascent(rng):
     pr = make_problem(3, 2, p=2.0, kind="mstrig")
     st = pr.state()
     r = pr.residual(st)
-    w = solvers.search_direction(pr, st, SolverConfig(method="newton"), r=r)
+    w = solvers.search_direction(pr.operator(st, "newton"), r)
     with pytest.raises(LineSearchError):
         solvers.line_search(pr, st, -w, SolverConfig(), mode="plain", r=r)
+
+
+@pytest.mark.parametrize("config", ["mstrig_desk", "channels_sparse"])
+def test_trial_point_energy_matches_stepped_state(config):
+    # trial points combine element gradients instead of recomputing them
+    pr = cli.build_problem(cli.parse_config(
+        os.path.join(CONFIGS, f"{config}.cfg"), []))
+    st = solvers.poisson_initial(pr)
+    r = pr.residual(st)
+    w = solvers.search_direction(pr.operator(st, "newton"), r)
+    d = pr.state(pr.expand(w))
+    for alpha in (-1e-6, 1e-6, 1e-4, 0.5, 2.0):
+        trial = pr.along(st, d, alpha)
+        stepped = pr.stepped(st, alpha, w)
+        assert np.array_equal(trial.u, stepped.u)
+        exact = fem.energy(stepped, pr.kappa, pr.nf, pr.load)
+        assert abs(fem.energy(trial, pr.kappa, pr.nf, pr.load) - exact) <= 1e-13 * abs(exact)
+
+
+@pytest.mark.parametrize("mode,calls", [
+    ("none", 2), ("plain", 32), ("residual_regularized", 32)])
+def test_line_search_energy_call_count(monkeypatch, mode, calls):
+    # the counts of the search that built every trial state from nodal values
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    st = solvers.poisson_initial(pr)
+    r = pr.residual(st)
+    w = solvers.search_direction(pr.operator(st, "newton"), r)
+    energy = fem.energy
+    seen = []
+
+    def counted(*args, **kwargs):
+        seen.append(1)
+        return energy(*args, **kwargs)
+
+    monkeypatch.setattr(fem, "energy", counted)
+    solvers.line_search(pr, st, w, SolverConfig(), mode=mode, r=r)
+    assert len(seen) == calls
 
 
 def test_regularized_alpha_smaller_on_coarse_direction():
