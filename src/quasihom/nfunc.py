@@ -93,7 +93,7 @@ def _outer(nf: NFunction, t, order, lower):
     if nf.kind == "reg_c1":
         if order == 0:
             return 0.5 * c * t ** 2 + (1.0 / p - 0.5) * e ** p
-        return c * t if order == 1 else np.full_like(t, c)
+        return c * t if order == 1 else c
     if lower:
         if order == 0:
             return (c / p * t ** 2
@@ -108,7 +108,7 @@ def _outer(nf: NFunction, t, order, lower):
                 + (p * p - 3.0 * p + 2.0) / (2.0 * p) * e ** p)
     if order == 1:
         return (p - 1.0) * c * t + (2.0 - p) * e ** (p - 1.0)
-    return np.full_like(t, (p - 1.0) * c)
+    return (p - 1.0) * c
 
 
 def _derivative(nf: NFunction, t, order: int):
@@ -117,36 +117,15 @@ def _derivative(nf: NFunction, t, order: int):
     if nf.kind == "power":
         out = _power(t, nf.p, order)
     else:
-        out = _regularized(nf, t, order)
-    return float(out[0]) if scalar else out
-
-
-def _regularized(nf: NFunction, t: np.ndarray, order: int) -> np.ndarray:
-    """Derivative `order` of a regularized kind at the array t, by pieces.
-
-    At a breakpoint the lower/left piece applies (matters only for phi'').
-    The bulk, the lower piece or the power law, whichever holds more
-    elements, is evaluated on t clipped into its interval, so it is neither
-    gathered nor scattered; the other pieces only on their own elements.
-    Which one is the bulk moves during a solve: at p = 10 nearly every
-    gradient starts below eps_minus and ends above it.
-    """
-    em, ep = nf.eps_minus, nf.eps_plus
-    lo = t <= em
-    hi = t > ep if math.isfinite(ep) else None      # None: no upper piece
-    n_lo = np.count_nonzero(lo)
-    n_hi = 0 if hi is None else np.count_nonzero(hi)
-    # more t below eps_minus than in the power law's range
-    if 2 * n_lo > t.size - n_hi:
-        out = _outer(nf, np.minimum(t, em), order, lower=True)
-        mid = ~lo if hi is None else ~(lo | hi)
-        out[mid] = _power(t[mid], nf.p, order)
-    else:
-        out = _power(np.clip(t, em, ep), nf.p, order)
+        em, ep = nf.eps_minus, nf.eps_plus
+        out = _power(np.clip(t, em, ep if math.isfinite(ep) else None), nf.p, order)
+        # at a breakpoint the lower/left piece applies (matters only for phi'')
+        lo = t <= em
         out[lo] = _outer(nf, t[lo], order, lower=True)
-    if n_hi:
-        out[hi] = _outer(nf, t[hi], order, lower=False)
-    return out
+        hi = math.isfinite(ep) and (t > ep)
+        if np.any(hi):
+            out[hi] = _outer(nf, t[hi], order, lower=False)
+    return float(out[0]) if scalar else out
 
 
 def phi(nf: NFunction, t):

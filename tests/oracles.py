@@ -6,10 +6,9 @@ quantities in their plainest form, so that the vectorized library code can
 be compared with them. The GRPS interpolation is what the optimal-recovery
 tests check the coarse bases with. The per-element gradient gather is the
 plain form of the library's cached gradient operator, the log-scale
-bisection the plain form of the library's root search for c_tilde, one
+bisection the plain form of the library's root search for c_tilde, and one
 KKT factorization per basis the plain form of the one shared by every basis
-on a patch, and the clip-then-overwrite N-function the plain form of the
-library's per-piece kernels.
+on a patch.
 """
 
 from __future__ import annotations
@@ -42,21 +41,6 @@ def eval_shifted(nf: nfunc.NFunction, a: float, t: float) -> tuple[float, float]
 
     phi_a, _ = quad(integrand, 0.0, t, epsabs=1e-14, epsrel=1e-10, limit=200)
     return phi_a, dphi_a
-
-
-def nfunc_derivative(nf: nfunc.NFunction, t: np.ndarray, order: int) -> np.ndarray:
-    """Derivative `order` of a regularized N-function at the array t: the
-    power law at t clipped into [eps_minus, eps_plus], then overwritten by
-    the outer pieces where t <= eps_minus or t > eps_plus."""
-    em, ep = nf.eps_minus, nf.eps_plus
-    t = np.asarray(t, dtype=float)
-    out = nfunc._power(np.clip(t, em, ep if math.isfinite(ep) else None), nf.p, order)
-    lo = t <= em
-    out[lo] = nfunc._outer(nf, t[lo], order, lower=True)
-    hi = math.isfinite(ep) and (t > ep)
-    if np.any(hi):
-        out[hi] = nfunc._outer(nf, t[hi], order, lower=False)
-    return out
 
 
 def element_gradients(mesh, u: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from quasihom import nfunc
 from quasihom.nfunc import NFunction
 
-from oracles import eval_shifted, nfunc_derivative
+from oracles import eval_shifted
 
 ORDERS = (nfunc.phi, nfunc.dphi, nfunc.ddphi)
 
@@ -58,27 +58,6 @@ def test_single_order_kernels_scalar_and_array(kind, p, em, ep_factor, ts):
         for ti, vi in zip(ts[-3:], values[-3:]):
             assert kernel(nf, ti) == vi
             assert isinstance(kernel(nf, ti), float)
-
-
-@pytest.mark.parametrize("kind", ["reg_c1", "reg_c2"])
-@pytest.mark.parametrize("p", [3.0, 5.0, 10.0, 20.0])
-@pytest.mark.parametrize("ep_factor", [math.inf, 4.0])
-def test_piecewise_kernels_bitwise_equal_clip_then_overwrite(kind, p, ep_factor):
-    em = 0.2
-    nf = NFunction(kind, p, em, em * ep_factor)
-    rng = np.random.default_rng(5)
-    ends = [0.0, em, nf.eps_plus if ep_factor < math.inf else 2.0]
-    spread = rng.uniform(0.0, 10.0 * em, 300)
-    # most t in each piece in turn: the piece holding the bulk is evaluated
-    # on clipped t, the others on their own elements
-    for bulk in [(0.0, 1.0), (1.0, 4.0), (4.0, 10.0)]:
-        t = np.concatenate([ends, spread, em * rng.uniform(*bulk, 700)])
-        for order, kernel in enumerate(ORDERS):
-            assert kernel(nf, t).tobytes() == nfunc_derivative(nf, t, order).tobytes()
-        safe = np.where(t > 0, t, 1.0)
-        lim = (1.0 if kind == "reg_c1" else 2.0 / p) * em ** (p - 2.0)
-        secant = np.where(t > 0, nfunc_derivative(nf, t, 1) / safe, lim)
-        assert nfunc.eval_secant(nf, t).tobytes() == secant.tobytes()
 
 
 def test_invalid_parameters():
