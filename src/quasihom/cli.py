@@ -36,12 +36,6 @@ def _parse_bool(s) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_delta_i(s) -> float | None:
-    """A float threshold, or "full" (None: rebuild every basis, no indicators)."""
-    s = str(s).strip().lower()
-    return None if s == "full" else float(s)
-
-
 def _list_of(conv):
     def parse(s) -> list:
         out = [conv(tok.strip()) for tok in str(s).split(",") if tok.strip()]
@@ -80,8 +74,7 @@ _SCHEMA: dict[str, tuple] = {
     "solver.max_iters": (int, _DEFAULT.max_iters),
     "solver.line_search": (str, _DEFAULT.line_search),
     "solver.delta": (float, _DEFAULT.delta),
-    # float or "full"
-    "solver.delta_i": (_parse_delta_i, _DEFAULT.sparse_update_threshold),
+    "solver.delta_i": (float, _DEFAULT.sparse_update_threshold),
     "solver.inner_tol": (float, _DEFAULT.inner_tol),
     "solver.inner_cap": (int, _DEFAULT.inner_cap),
     "solver.ell": (int, -1),               # -1 = log(1/H) default
@@ -140,7 +133,7 @@ def build_field(cfg: dict):
     if kind == "constant":
         return coeff.constant_field(cfg["coeff.value"])
     if kind == "mstrig":
-        return coeff.mstrig_field()
+        return coeff.mstrig_eval
     if kind == "grid":
         return coeff.load_grid(
             cfg["coeff.path"], cfg["coeff.rows"], cfg["coeff.cols"], extent=extent
@@ -539,24 +532,27 @@ def run_regularization_study(cfg: dict, out: str, jobs: int) -> None:
 
 
 def run_sparse_update_study(cfg: dict, out: str, jobs: int) -> None:
+    if not all(d > 0 for d in cfg["sparse.delta_list"]):
+        raise ConfigError("sparse.delta_list needs thresholds > 0 "
+                          "(threshold 0, the full rebuild, is the reference row)")
     problem = build_problem(cfg)
     ref = _fine_reference(problem, cfg)
     p = cfg["nfunc.p"]
     n_basis = problem.mesh.n_coarse_triangles
 
-    def one(d: float | None):
-        tag = "full" if d is None else f"{d:g}"
+    def one(d: float):
+        tag = f"{d:g}"
         rep = _run(problem, cfg, ref, ref.final_energy,
                    os.path.join(out, f"delta_{tag}", "iterations.csv"),
                    {"delta_i": tag}, space="coarse", sparse_update_threshold=d)
         later = [r.bases_updated for r in rep.records[1:-1]]
         frac = sum(later) / (n_basis * len(later)) if later else 1.0
         h1 = fem.error_norms(rep.state, ref.state, p)[0]
-        return [0.0 if d is None else d, frac * 100.0, h1]
+        return [d, frac * 100.0, h1]
 
     table = ResultTable(
         columns=["delta_i", "update_percent", "h1_error"],
-        rows=_map(jobs, one, [None, *cfg["sparse.delta_list"]]),
+        rows=_map(jobs, one, [0.0, *cfg["sparse.delta_list"]]),
         meta={"experiment": "sparse-update-study"},
     )
     _summary(out, table, "delta_i", ["h1_error"], "h1_error.svg",

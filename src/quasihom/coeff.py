@@ -89,10 +89,6 @@ def constant_field(value: float):
     return field
 
 
-def mstrig_field():
-    return mstrig_eval
-
-
 def load_grid(path, rows: int, cols: int,
               extent=(0.0, 1.0, 0.0, 1.0)) -> GridField:
     """Load a whitespace-separated grid file: rows*cols positive decimals,

@@ -46,7 +46,7 @@ class SolverConfig:
     max_iters: int = 100
     line_search: str = "plain"
     delta: float = 0.68                       # rho threshold for dropping regularization
-    sparse_update_threshold: float | None = 0.0   # None = rebuild all, no indicators
+    sparse_update_threshold: float = 0.0      # delta_i; 0 rebuilds every basis
     inner_tol: float = 1e-12
     inner_cap: int = 100
     localization: int | None = None           # patch layers; None = log(1/H) default
@@ -73,6 +73,8 @@ class SolverConfig:
             raise ValueError("cq must be positive")
         if not 0.5 < self.delta < 1.0:
             raise ValueError("delta must lie in (0.5, 1)")
+        if not self.sparse_update_threshold >= 0:
+            raise ValueError("sparse update threshold (delta_i) must be >= 0")
         if self.method == "quasinorm" and self.space == "coarse":
             raise ValueError("quasi-norm direction is a fine-space method")
 
@@ -183,9 +185,9 @@ def search_direction(op: sp.csr_matrix, r: np.ndarray) -> np.ndarray:
 
 
 def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig,
-                        r: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+                        r: np.ndarray) -> tuple[np.ndarray, bool]:
     """Implicit quasi-norm direction:
-    cq * int kappa phi''(|grad u| + |grad w|) grad w . grad v = -J'(u)(v).
+    cq * int kappa phi''(|grad u| + |grad w|) grad w . grad v = -J'(u)(v) = -r . v.
 
     This is the stationarity condition of the strictly convex inner energy
     cq * int kappa [t phi'(a+t) - phi(a+t) + phi(a)] at t = |grad w|, a =
@@ -199,8 +201,6 @@ def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig
     weighted by kappa phi''(|grad u| + |grad w|), or r is zero to round-off
     (|r| <= RESIDUAL_ZERO |load|).
     """
-    if r is None:
-        r = problem.residual(state)
     mesh = problem.mesh
     nf = problem.nf
     kv = problem.kappa.values
@@ -292,9 +292,9 @@ def _bracket_and_golden(objective, f0: float) -> float:
 
 
 def line_search(problem: Problem, state: fem.FemState, w_free: np.ndarray,
-                cfg: SolverConfig, mode: str | None = None,
-                r: np.ndarray | None = None):
-    """Step selection along a descent direction.
+                mode: str, r: np.ndarray):
+    """Step selection of the given mode along a descent direction, given the
+    residual r = J'(u).
 
     Returns (alpha, rho, lam). `rho` compares the realized energy change
     against its first-order model (absolute value, so the quadratic ideal is
@@ -302,9 +302,6 @@ def line_search(problem: Problem, state: fem.FemState, w_free: np.ndarray,
     Trial points are ``problem.along`` the direction's state, so a trial
     costs no gradient-operator product.
     """
-    mode = mode or cfg.line_search
-    if r is None:
-        r = problem.residual(state)
     g0 = float(r @ w_free)
     if g0 >= 0:
         raise LineSearchError("not a descent direction")
@@ -417,18 +414,12 @@ def estimate_cn(problem: Problem, state: fem.FemState, w0_free: np.ndarray,
     return math.exp(_brent_root(log_ratio, x_end, g_end, 0.0, g1, CN_LOG_TOL))
 
 
-def solve(problem: Problem, cfg: SolverConfig,
-          u0: np.ndarray | fem.FemState | None = None,
+def solve(problem: Problem, cfg: SolverConfig, u0: fem.FemState | None = None,
           reference_energy: float | None = None) -> SolveReport:
     """Run the nonlinear iteration per the configured method and space."""
     cfg.validate()
     mesh = problem.mesh
-    if u0 is None:
-        state = poisson_initial(problem)
-    elif isinstance(u0, fem.FemState):
-        state = u0
-    else:
-        state = problem.state(u0)
+    state = poisson_initial(problem) if u0 is None else u0
 
     records: list[IterationRecord] = []
     ls_mode = cfg.line_search      # a regularized search drops to "plain" for good
@@ -473,7 +464,8 @@ def solve(problem: Problem, cfg: SolverConfig,
                 if cfg.method != "quasinorm":
                     op = problem.operator(state, cfg.method)
                 if cfg.space == "coarse":
-                    if space is None or cfg.sparse_update_threshold is None:
+                    # threshold 0 rebuilds every basis: no increment, no indicators
+                    if space is None or cfg.sparse_update_threshold == 0:
                         space = grps.compute_basis(op, meas, mesh, layers=layers)
                         rec.bases_updated = space.n_basis
                     else:
@@ -485,7 +477,7 @@ def solve(problem: Problem, cfg: SolverConfig,
                         rec.bases_updated = int(sel.size)
                     w = grps.coarse_solve(op, -r, space)
                 elif cfg.method == "quasinorm":
-                    w, inner_ok = quasinorm_direction(problem, state, cfg, r=r)
+                    w, inner_ok = quasinorm_direction(problem, state, cfg, r)
                     rec.inner_unsolved = not inner_ok
                 else:
                     w = search_direction(op, r)
@@ -502,7 +494,7 @@ def solve(problem: Problem, cfg: SolverConfig,
 
             try:
                 rec.alpha, rec.rho, rec.lam = line_search(
-                    problem, state, w, cfg, mode=ls_mode, r=r)
+                    problem, state, w, ls_mode, r)
             except LineSearchError as exc:
                 if abs(float(r @ w)) <= 1e-12 * max(abs(j_n), 1.0):
                     converged = True

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import structural_rank
 
 
 # symmetric ordering with diagonal pivots, for every splu call of this module
@@ -59,7 +60,8 @@ def factorized_spd(a):
 class KKTFactor:
     """The factored KKT matrix [[A, B'], [B, 0]] of A and B, kept as CSR
     blocks A, B and B' with the Frobenius norms of A and B for the
-    backward-error check."""
+    backward-error check. A structurally singular KKT matrix, which can
+    crash SuperLU, raises RankDeficiencyError before the factorization."""
 
     def __init__(self, a, b):
         self.a, self.b = sp.csr_matrix(a), sp.csr_matrix(b)
@@ -68,6 +70,15 @@ class KKTFactor:
             raise RankDeficiencyError(f"more constraints ({m}) than unknowns ({n})")
         self.bt = self.b.T.tocsr()
         kkt = sp.bmat([[self.a, self.bt], [self.b, None]], format="csc")
+        # a stored diagonal of A and a structurally full row rank of B make
+        # the KKT matrix structurally nonsingular; else its own rank decides
+        rows = np.repeat(np.arange(n, dtype=self.a.indices.dtype), np.diff(self.a.indptr))
+        diag_stored = np.bincount(rows[self.a.indices == rows], minlength=n).all()
+        if not (diag_stored and structural_rank(self.b) == m):
+            rank = structural_rank(kkt)
+            if rank < n + m:
+                raise RankDeficiencyError(f"singular KKT system: structural rank "
+                                          f"{rank} < {n + m}")
         try:
             self.lu = spla.splu(kkt, **SYMMETRIC_LU)
         except RuntimeError as exc:

@@ -16,7 +16,7 @@ def make_problem(nc=4, j=2, p=2.0, kind="constant", eps_pow=1e-6,
                  nf_kind="reg_c1", f_kind="sinpi", field=None):
     mesh = make_mesh(nc, j)
     if field is None:
-        field = coeff.mstrig_field() if kind == "mstrig" else coeff.constant_field(1.0)
+        field = coeff.mstrig_eval if kind == "mstrig" else coeff.constant_field(1.0)
     kappa = coeff.sample_on_mesh(field, mesh)
     if nf_kind == "power":
         nf = nfunc.NFunction("power", p)

@@ -71,7 +71,7 @@ def test_c02_calculus_consistency():
     rng = np.random.default_rng(RNG_SEED)
     tau = 1e-6
     for p in (2.0, 5.0, 10.0):
-        pr = _problem(4, 2, p, coeff.mstrig_field())
+        pr = _problem(4, 2, p, coeff.mstrig_eval)
         m = pr.mesh
         nfree = m.free_nodes.size
         for _ in range(5):
@@ -97,7 +97,7 @@ def test_c02_calculus_consistency():
 
 @criterion(3, "linear reduction")
 def test_c03_linear_reduction():
-    fields = [coeff.constant_field(1.0), coeff.mstrig_field()]
+    fields = [coeff.constant_field(1.0), coeff.mstrig_eval]
     for field in fields:
         pr = _problem(4, 2, 2.0, field)
         m = pr.mesh
@@ -111,7 +111,7 @@ def test_c03_linear_reduction():
 @criterion(4, "optimal recovery")
 def test_c04_optimal_recovery():
     rng = np.random.default_rng(RNG_SEED)
-    pr = _problem(4, 2, 2.0, coeff.mstrig_field())
+    pr = _problem(4, 2, 2.0, coeff.mstrig_eval)
     a = pr.operator(pr.state(), "pgd")
     meas = grps.build_measurements(pr.mesh)
     space = grps.compute_basis(a, meas, pr.mesh, layers=None)
@@ -125,7 +125,7 @@ def test_c04_optimal_recovery():
 
 @criterion(5, "localization decay")
 def test_c05_localization_decay():
-    pr = _problem(8, 3, 2.0, coeff.mstrig_field())
+    pr = _problem(8, 3, 2.0, coeff.mstrig_eval)
     op = pr.operator(pr.state(), "pgd")
     meas = grps.build_measurements(pr.mesh)
     for i in (2 * (3 * 8 + 3), 2 * (4 * 8 + 2) + 1):  # two interior bases
@@ -178,7 +178,7 @@ def _exponential_trend_ok(errs, j_ref, lo=2, hi=12):
 
 @pytest.fixture(scope="module")
 def mstrig_p5_fine_runs():
-    pr = _problem(8, 2, 5.0, coeff.mstrig_field())
+    pr = _problem(8, 2, 5.0, coeff.mstrig_eval)
     ref = _fine_newton(pr)
     j_ref = min(ref.final_energy, float(ref.energies.min()))
     runs = {}
@@ -206,7 +206,7 @@ def test_c07_iterative_convergence_trends(mstrig_p5_fine_runs):
 
 @pytest.fixture(scope="module")
 def mstrig_p10_coarse_runs():
-    pr = _problem(8, 2, 10.0, coeff.mstrig_field())
+    pr = _problem(8, 2, 10.0, coeff.mstrig_eval)
     ref = _fine_newton(pr)
     j_ref = min(ref.final_energy, float(ref.energies.min()))
     reg = solvers.solve(
@@ -258,11 +258,14 @@ def test_c09_sparse_updating():
     ref = _fine_newton(pr)
     base = dict(method="newton", space="coarse",
                 line_search="residual_regularized", max_iters=30)
-    rep_full = solvers.solve(pr, SolverConfig(sparse_update_threshold=None, **base),
+    # threshold 0 rebuilds every basis without indicators; the smallest
+    # positive threshold takes the indicator route and selects every basis
+    rep_full = solvers.solve(pr, SolverConfig(sparse_update_threshold=0.0, **base),
                              reference_energy=ref.final_energy)
-    rep_zero = solvers.solve(pr, SolverConfig(sparse_update_threshold=0.0, **base),
+    tiny = np.finfo(float).tiny
+    rep_tiny = solvers.solve(pr, SolverConfig(sparse_update_threshold=tiny, **base),
                              reference_energy=ref.final_energy)
-    assert np.array_equal(rep_full.state.u, rep_zero.state.u)
+    assert np.array_equal(rep_full.state.u, rep_tiny.state.u)
 
     h1_full = fem.error_norms(rep_full.state, ref.state, 20.0)[0]
     rep_sparse = solvers.solve(pr, SolverConfig(sparse_update_threshold=0.3, **base),
@@ -277,7 +280,7 @@ def test_c09_sparse_updating():
 
 @criterion(10, "regularization error trend")
 def test_c10_regularization_error_trend():
-    field = coeff.mstrig_field()
+    field = coeff.mstrig_eval
     pr_ref = _problem(8, 2, 10.0, field, eps_pow=1e-10)
     ref = _fine_newton(pr_ref)
     power_pr = solvers.Problem(pr_ref.mesh, pr_ref.kappa,
@@ -296,7 +299,7 @@ def test_c10_regularization_error_trend():
 def test_c11_cn_estimator(mstrig_p10_coarse_runs):
     # exact unit value in the quadratic case
     rng = np.random.default_rng(RNG_SEED)
-    pr2 = _problem(4, 2, 2.0, coeff.mstrig_field())
+    pr2 = _problem(4, 2, 2.0, coeff.mstrig_eval)
     u = np.zeros(pr2.mesh.n_vertices)
     u[pr2.mesh.free_nodes] = 0.5 * rng.standard_normal(pr2.mesh.free_nodes.size)
     st = pr2.state(u)

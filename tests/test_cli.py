@@ -277,6 +277,12 @@ def test_csv_17_digit_format(tmp_path):
 
 @pytest.mark.parametrize("args", [
     ["solve", "--solver.delta_i", "abc"],
+    # threshold 0 is the full rebuild; there is no "full" spelling
+    ["solve", "--solver.delta_i", "full"],
+    ["solve", "--solver.delta_i", "-1"],
+    ["solve", "--solver.delta_i", "nan"],
+    # 0 is already the study's reference row
+    ["sparse-update-study", "--sparse.delta_list", "0,1"],
     ["solve", "--nfunc.p", "2.015625"],         # eps_minus underflows to 0
     ["homogenization-error", "--hom.nc_list", "4,x"],
     ["solve", "--solver.method", "quasinorm", "--solver.space", "fine",
@@ -301,7 +307,8 @@ def test_csv_17_digit_format(tmp_path):
     # jobs <= 1 runs serially, so these used to pass without a word
     ["solve", "--jobs", "0"],
     ["solve", "--jobs", "-2"],
-], ids=["delta_i", "nfunc_p", "nc_list", "inner_cap", "cq", "inner_tol",
+], ids=["delta_i", "delta_i_full", "delta_i_negative", "delta_i_nan",
+        "delta_list_zero", "nfunc_p", "nc_list", "inner_cap", "cq", "inner_tol",
         "max_iters", "fine_n_below_nc", "fine_n_zero", "nc_zero",
         "nc_negative", "nc_list_empty", "eps_list_empty", "methods_empty",
         "grid_empty_no_dims", "grid_no_dims", "grid_no_cols", "jobs_zero",

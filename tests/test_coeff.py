@@ -38,7 +38,7 @@ def test_mstrig_reported_contrast():
 def test_mstrig_barycenter_contrast_frozen():
     # barycenter sampling on the 2^-7 mesh gives a smaller contrast; frozen value
     mesh = refine(build_coarse_mesh(4, 4), 5)
-    vals = sample_on_mesh(coeff.mstrig_field(), mesh).values
+    vals = sample_on_mesh(coeff.mstrig_eval, mesh).values
     assert vals.max() / vals.min() == pytest.approx(31.4248, rel=1e-3)
 
 
@@ -113,7 +113,7 @@ def test_sample_constant():
 
 def test_sample_mstrig_matches_direct_scan():
     mesh = refine(build_coarse_mesh(4, 4), 3)
-    ec = sample_on_mesh(coeff.mstrig_field(), mesh)
+    ec = sample_on_mesh(coeff.mstrig_eval, mesh)
     bary = mesh.geometry()[3]
     direct = mstrig_eval(bary[:, 0], bary[:, 1])
     assert np.array_equal(ec.values, direct)

@@ -407,6 +407,19 @@ def test_singular_shared_patch_kkt_names_its_bases():
         compute_basis(op, meas, pr.mesh, layers=2, indices=group[:2])
 
 
+def test_structurally_singular_patch_kkt_never_reaches_splu(monkeypatch):
+    # an operator that stores no entries makes the patch KKT matrix
+    # structurally singular; SuperLU used to crash the process on it
+    pr = make_problem(4, 2, p=2.0, kind="mstrig")
+    meas = build_measurements(pr.mesh)
+    op = _p2_operator(pr)
+    monkeypatch.setattr(sparsela.spla, "splu",
+                        lambda *args, **kwargs: pytest.fail("splu reached"))
+    with pytest.raises(sparsela.RankDeficiencyError,
+                       match=r"\(layers=2\): singular KKT system: structural rank"):
+        compute_basis(sp.csr_matrix(op.shape), meas, pr.mesh, layers=2, indices=[2, 5])
+
+
 @pytest.mark.parametrize("indices, match", [
     ([2, 2], r"repeated basis indices: \[2\]"),
     ([0, 3, 5, 3, 0], r"repeated basis indices: \[0, 3\]"),

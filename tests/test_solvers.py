@@ -80,7 +80,7 @@ def test_quasinorm_p2_single_exact_solve():
     st = pr.state()
     cfg = SolverConfig(method="quasinorm", cq=2.0)
     r = pr.residual(st)
-    w, ok = solvers.quasinorm_direction(pr, st, cfg, r=r)
+    w, ok = solvers.quasinorm_direction(pr, st, cfg, r)
     assert ok
     k = fem.weighted_stiffness(pr.mesh, pr.kappa.values)
     exact = sparsela.factorized_spd((cfg.cq * k).tocsr())(-r)
@@ -90,7 +90,8 @@ def test_quasinorm_p2_single_exact_solve():
 def test_quasinorm_zero_residual_returns_zero():
     pr = make_problem(3, 2, p=2.0, kind="mstrig")
     st = solvers.poisson_initial(pr)
-    w, ok = solvers.quasinorm_direction(pr, st, SolverConfig(method="quasinorm"))
+    w, ok = solvers.quasinorm_direction(pr, st, SolverConfig(method="quasinorm"),
+                                        pr.residual(st))
     assert ok
     assert np.abs(w).max() <= 1e-12
 
@@ -103,7 +104,7 @@ def test_quasinorm_ok_implies_defining_relation(seed):
     cfg = SolverConfig(method="quasinorm", inner_tol=1e-12, inner_cap=200)
     st = random_state(pr, np.random.default_rng(seed), scale=0.3)
     r = pr.residual(st)
-    w, ok = solvers.quasinorm_direction(pr, st, cfg, r=r)
+    w, ok = solvers.quasinorm_direction(pr, st, cfg, r)
     wn = fem.FemState(pr.mesh, pr.expand(w)).grad_norms()
     dd = nfunc.ddphi(pr.nf, st.grad_norms() + wn)
     k = fem.weighted_stiffness(pr.mesh, pr.kappa.values * dd)
@@ -118,7 +119,7 @@ def test_line_search_quadratic_full_step():
     st = pr.state()
     r = pr.residual(st)
     w = solvers.search_direction(pr.operator(st, "newton"), r)
-    alpha, rho, lam = solvers.line_search(pr, st, w, SolverConfig(), mode="plain", r=r)
+    alpha, rho, lam = solvers.line_search(pr, st, w, "plain", r)
     assert alpha == pytest.approx(1.0, abs=1e-5)
     assert rho == pytest.approx(0.5, abs=1e-4)
     assert math.isnan(lam)
@@ -129,8 +130,8 @@ def test_line_search_half_direction_doubles_alpha():
     st = pr.state()
     r = pr.residual(st)
     w = solvers.search_direction(pr.operator(st, "newton"), r)
-    a1, _, _ = solvers.line_search(pr, st, w, SolverConfig(), mode="plain", r=r)
-    a2, _, _ = solvers.line_search(pr, st, 0.5 * w, SolverConfig(), mode="plain", r=r)
+    a1, _, _ = solvers.line_search(pr, st, w, "plain", r)
+    a2, _, _ = solvers.line_search(pr, st, 0.5 * w, "plain", r)
     assert a2 == pytest.approx(2.0 * a1, rel=1e-4)
 
 
@@ -140,7 +141,7 @@ def test_line_search_rejects_ascent(rng):
     r = pr.residual(st)
     w = solvers.search_direction(pr.operator(st, "newton"), r)
     with pytest.raises(LineSearchError):
-        solvers.line_search(pr, st, -w, SolverConfig(), mode="plain", r=r)
+        solvers.line_search(pr, st, -w, "plain", r)
 
 
 @pytest.mark.parametrize("config", ["mstrig_desk", "channels_sparse"])
@@ -176,7 +177,7 @@ def test_line_search_energy_call_count(monkeypatch, mode, calls):
         return energy(*args, **kwargs)
 
     monkeypatch.setattr(fem, "energy", counted)
-    solvers.line_search(pr, st, w, SolverConfig(), mode=mode, r=r)
+    solvers.line_search(pr, st, w, mode, r)
     assert len(seen) == calls
 
 
@@ -191,10 +192,8 @@ def test_regularized_alpha_smaller_on_coarse_direction():
     meas = grps.build_measurements(pr.mesh)
     space = grps.compute_basis(op, meas, pr.mesh, layers=grps.default_layers(pr.mesh))
     w = grps.coarse_solve(op, -r, space)
-    a_plain, _, _ = solvers.line_search(pr, st, w, SolverConfig(), mode="plain", r=r)
-    a_reg, _, lam = solvers.line_search(
-        pr, st, w, SolverConfig(), mode="residual_regularized", r=r
-    )
+    a_plain, _, _ = solvers.line_search(pr, st, w, "plain", r)
+    a_reg, _, lam = solvers.line_search(pr, st, w, "residual_regularized", r)
     assert lam > 0
     assert a_reg < a_plain
 
@@ -333,7 +332,7 @@ def test_quasinorm_step_inequality(rng):
         if math.isnan(rec.alpha):
             break
         r = pr.residual(st)
-        w, _ = solvers.quasinorm_direction(pr, st, cfg, r=r)
+        w, _ = solvers.quasinorm_direction(pr, st, cfg, r)
         new = pr.stepped(st, rec.alpha, w)
         drop = pr.energy(st) - pr.energy(new)
         # the line-searched drop dominates the unit-step bound for the
@@ -348,13 +347,34 @@ def test_solve_coarse_sparse_zero_threshold_bitwise():
     pr = make_problem(4, 2, p=5.0, kind="mstrig")
     base = dict(method="newton", space="coarse", max_iters=8,
                 line_search="plain")
-    rep_full = solvers.solve(pr, SolverConfig(sparse_update_threshold=None, **base))
+    # the smallest positive threshold takes the indicator route, and every
+    # indicator reaches it
+    rep_tiny = solvers.solve(pr, SolverConfig(sparse_update_threshold=np.finfo(float).tiny,
+                                              **base))
     rep_zero = solvers.solve(pr, SolverConfig(sparse_update_threshold=0.0, **base))
-    assert np.array_equal(rep_full.state.u, rep_zero.state.u)
-    assert rep_full.final_energy == rep_zero.final_energy
+    assert np.array_equal(rep_tiny.state.u, rep_zero.state.u)
+    assert rep_tiny.final_energy == rep_zero.final_energy
     # the zero-threshold path rebuilt every basis each iteration
     m = pr.mesh.n_coarse_triangles
     assert all(r.bases_updated == m for r in rep_zero.records[:-1])
+
+
+def test_solve_coarse_zero_threshold_skips_indicators(monkeypatch):
+    # threshold 0 rebuilds every basis from the one linearized operator of
+    # each iteration: no increment operator, no indicator pass
+    from quasihom import grps
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    monkeypatch.setattr(grps, "update_indicators",
+                        lambda *args: pytest.fail("indicators computed"))
+    assembled = []
+    operator = pr.operator
+    monkeypatch.setattr(pr, "operator",
+                        lambda *args: assembled.append(1) or operator(*args))
+    rep = solvers.solve(pr, SolverConfig(method="newton", space="coarse", max_iters=4,
+                                         line_search="plain"))
+    iters = len(rep.records) - 1
+    assert iters == 4
+    assert len(assembled) == iters
 
 
 def test_solve_coarse_sparse_positive_threshold_skips(rng):
@@ -415,7 +435,8 @@ def test_quasinorm_inner_cap_zero_never_converges():
     # would read as converged; the config is rejected before any iteration
     pr = make_problem(3, 2, p=5.0, kind="mstrig")
     cfg = SolverConfig(method="quasinorm", inner_cap=0)
-    w, ok = solvers.quasinorm_direction(pr, pr.state(), cfg)
+    st = pr.state()
+    w, ok = solvers.quasinorm_direction(pr, st, cfg, pr.residual(st))
     assert not ok
     assert not np.any(w)
     with pytest.raises(ValueError, match="inner_cap"):
@@ -430,7 +451,7 @@ def test_coarse_plateau_shrinks_with_h():
     plateaus = []
     for nc, j in ((2, 4), (4, 3), (8, 2)):
         m = refine(build_coarse_mesh(nc, nc), j)
-        kap = coeff.sample_on_mesh(coeff.mstrig_field(), m)
+        kap = coeff.sample_on_mesh(coeff.mstrig_eval, m)
         nf = nfunc.NFunction.from_eps_pow("reg_c1", 5.0, 1e-6)
         x, y = m.vertices[:, 0], m.vertices[:, 1]
         pr = solvers.Problem(m, kap, nf, np.sin(np.pi * x) * np.sin(np.pi * y))
@@ -470,7 +491,7 @@ def test_solve_energy_nonfinite_exit():
     pr = make_problem(3, 2, p=5.0, kind="mstrig")
     u0 = np.zeros(pr.mesh.n_vertices)
     u0[pr.mesh.free_nodes[0]] = np.nan
-    rep = solvers.solve(pr, SolverConfig(max_iters=5), u0=u0)
+    rep = solvers.solve(pr, SolverConfig(max_iters=5), u0=pr.state(u0))
     assert rep.reason == "energy_nonfinite"
     assert not rep.converged
     assert math.isnan(_failing_record(rep).energy)

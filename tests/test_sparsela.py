@@ -113,6 +113,16 @@ def test_rank_deficient_constraints():
         solve_saddle(KKTFactor(a, b), np.array([1.0, 2.0]))
 
 
+def test_kkt_without_stored_diagonal_entry_factors_when_structurally_nonsingular():
+    # A = diag(1, 1, 1) with (0, 0) not stored: the structural guard checks
+    # the KKT matrix itself, which the constraint on x0 makes nonsingular
+    a = sp.csr_matrix((np.ones(2), ([1, 2], [1, 2])), shape=(3, 3))
+    b = sp.csr_matrix(np.array([[1.0, 0.0, 0.0]]))
+    x, lam = solve_saddle(KKTFactor(a, b), np.array([2.0]))
+    assert np.array_equal(x, [2.0, 0.0, 0.0])
+    assert np.array_equal(lam, [0.0])
+
+
 def test_more_constraints_than_unknowns():
     a = sp.eye(2, format="csr")
     b = sp.csr_matrix(np.eye(3)[:, :2])
