@@ -532,9 +532,14 @@ def run_regularization_study(cfg: dict, out: str, jobs: int) -> None:
 
 
 def run_sparse_update_study(cfg: dict, out: str, jobs: int) -> None:
-    if not all(d > 0 for d in cfg["sparse.delta_list"]):
-        raise ConfigError("sparse.delta_list needs thresholds > 0 "
-                          "(threshold 0, the full rebuild, is the reference row)")
+    # threshold 0, the full rebuild, is the reference row, and each run
+    # writes to the directory named by its threshold's %g tag
+    deltas = [0.0, *cfg["sparse.delta_list"]]
+    tags = [f"{d:g}" for d in deltas]
+    bad = [d for d, t in zip(deltas[1:], tags[1:]) if not d > 0 or tags.count(t) > 1]
+    if bad:
+        raise ConfigError(f"sparse.delta_list needs thresholds > 0 with distinct "
+                          f"run directories delta_<threshold:g>: {bad}")
     problem = build_problem(cfg)
     ref = _fine_reference(problem, cfg)
     p = cfg["nfunc.p"]
@@ -552,7 +557,7 @@ def run_sparse_update_study(cfg: dict, out: str, jobs: int) -> None:
 
     table = ResultTable(
         columns=["delta_i", "update_percent", "h1_error"],
-        rows=_map(jobs, one, [0.0, *cfg["sparse.delta_list"]]),
+        rows=_map(jobs, one, deltas),
         meta={"experiment": "sparse-update-study"},
     )
     _summary(out, table, "delta_i", ["h1_error"], "h1_error.svg",

@@ -66,19 +66,11 @@ class KKTFactor:
     def __init__(self, a, b):
         self.a, self.b = sp.csr_matrix(a), sp.csr_matrix(b)
         m, n = self.b.shape
-        if m > n:
-            raise RankDeficiencyError(f"more constraints ({m}) than unknowns ({n})")
         self.bt = self.b.T.tocsr()
         kkt = sp.bmat([[self.a, self.bt], [self.b, None]], format="csc")
-        # a stored diagonal of A and a structurally full row rank of B make
-        # the KKT matrix structurally nonsingular; else its own rank decides
-        rows = np.repeat(np.arange(n, dtype=self.a.indices.dtype), np.diff(self.a.indptr))
-        diag_stored = np.bincount(rows[self.a.indices == rows], minlength=n).all()
-        if not (diag_stored and structural_rank(self.b) == m):
-            rank = structural_rank(kkt)
-            if rank < n + m:
-                raise RankDeficiencyError(f"singular KKT system: structural rank "
-                                          f"{rank} < {n + m}")
+        rank = structural_rank(kkt)
+        if rank < n + m:
+            raise RankDeficiencyError(f"singular KKT system: structural rank {rank} < {n + m}")
         try:
             self.lu = spla.splu(kkt, **SYMMETRIC_LU)
         except RuntimeError as exc:

@@ -283,6 +283,8 @@ def test_csv_17_digit_format(tmp_path):
     ["solve", "--solver.delta_i", "nan"],
     # 0 is already the study's reference row
     ["sparse-update-study", "--sparse.delta_list", "0,1"],
+    # both would write their iterations to delta_5
+    ["sparse-update-study", "--sparse.delta_list", "5,5.0000001"],
     ["solve", "--nfunc.p", "2.015625"],         # eps_minus underflows to 0
     ["homogenization-error", "--hom.nc_list", "4,x"],
     ["solve", "--solver.method", "quasinorm", "--solver.space", "fine",
@@ -308,7 +310,7 @@ def test_csv_17_digit_format(tmp_path):
     ["solve", "--jobs", "0"],
     ["solve", "--jobs", "-2"],
 ], ids=["delta_i", "delta_i_full", "delta_i_negative", "delta_i_nan",
-        "delta_list_zero", "nfunc_p", "nc_list", "inner_cap", "cq", "inner_tol",
+        "delta_list_zero", "delta_list_duplicate_tag", "nfunc_p", "nc_list", "inner_cap", "cq", "inner_tol",
         "max_iters", "fine_n_below_nc", "fine_n_zero", "nc_zero",
         "nc_negative", "nc_list_empty", "eps_list_empty", "methods_empty",
         "grid_empty_no_dims", "grid_no_dims", "grid_no_cols", "jobs_zero",

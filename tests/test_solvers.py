@@ -354,8 +354,9 @@ def test_solve_coarse_sparse_zero_threshold_bitwise():
     rep_zero = solvers.solve(pr, SolverConfig(sparse_update_threshold=0.0, **base))
     assert np.array_equal(rep_tiny.state.u, rep_zero.state.u)
     assert rep_tiny.final_energy == rep_zero.final_energy
-    # the zero-threshold path rebuilt every basis each iteration
+    # both routes rebuilt every basis each iteration
     m = pr.mesh.n_coarse_triangles
+    assert all(r.bases_updated == m for r in rep_tiny.records[:-1])
     assert all(r.bases_updated == m for r in rep_zero.records[:-1])
 
 
