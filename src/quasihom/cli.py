@@ -45,9 +45,8 @@ def _list_of(conv):
     return parse
 
 
-# key -> (converter, default); defaults go through the converter too, and
-# the solver.* defaults are SolverConfig's own
-_DEFAULT = solvers.SolverConfig
+# key -> (converter, default); defaults go through the converter too. The
+# solver.* keys are SolverConfig's fields, parsed to the type of their default
 _SCHEMA: dict[str, tuple] = {
     "mesh.nc_x": (int, 8),
     "mesh.nc_y": (int, 8),
@@ -68,19 +67,9 @@ _SCHEMA: dict[str, tuple] = {
     "coeff.seed": (int, 7),
     "f.kind": (str, "sinpi"),
     "f.value": (float, 1.0),
-    "solver.method": (str, _DEFAULT.method),
-    "solver.space": (str, _DEFAULT.space),
-    "solver.tol": (float, _DEFAULT.tol),
-    "solver.max_iters": (int, _DEFAULT.max_iters),
-    "solver.line_search": (str, _DEFAULT.line_search),
-    "solver.delta": (float, _DEFAULT.delta),
-    "solver.delta_i": (float, _DEFAULT.sparse_update_threshold),
-    "solver.inner_tol": (float, _DEFAULT.inner_tol),
-    "solver.inner_cap": (int, _DEFAULT.inner_cap),
-    "solver.ell": (int, -1),               # -1 = log(1/H) default
-    "solver.global_basis": (_parse_bool, _DEFAULT.global_basis),
-    "solver.cq": (float, _DEFAULT.cq),
-    "solver.estimate_cn": (_parse_bool, _DEFAULT.estimate_cn),
+    **{f"solver.{f.name}": (
+        _parse_bool if type(f.default) is bool else type(f.default), f.default)
+       for f in fields(solvers.SolverConfig)},
     "solver.u0": (str, "poisson"),         # poisson | zero | half_reference
     "solve.reference": (_parse_bool, "false"),
     "compare.methods": (_list_of(str), "gd,pgd,newton,quasinorm"),
@@ -150,16 +139,13 @@ def build_field(cfg: dict):
     raise ConfigError(f"unknown coefficient kind {kind!r}")
 
 
-def build_nfunction(cfg: dict, eps_minus_pow: float | None = None) -> nfunc.NFunction:
+def build_nfunction(cfg: dict) -> nfunc.NFunction:
     kind = cfg["nfunc.kind"]
     p = cfg["nfunc.p"]
     if kind == "power":
         return nfunc.NFunction("power", p)
-    return nfunc.NFunction.from_eps_pow(
-        kind, p,
-        eps_minus_pow if eps_minus_pow is not None else cfg["nfunc.eps_minus_pow"],
-        cfg["nfunc.eps_plus"],
-    )
+    return nfunc.NFunction.from_eps_pow(kind, p, cfg["nfunc.eps_minus_pow"],
+                                        cfg["nfunc.eps_plus"])
 
 
 def build_source(cfg: dict, mesh) -> np.ndarray:
@@ -174,41 +160,23 @@ def build_source(cfg: dict, mesh) -> np.ndarray:
     raise ConfigError(f"unknown source kind {kind!r}")
 
 
-def build_problem(cfg: dict, nc_x=None, nc_y=None, level=None,
-                  eps_minus_pow=None) -> solvers.Problem:
+def build_problem(cfg: dict) -> solvers.Problem:
     try:
-        mesh = refine(
-            build_coarse_mesh(
-                nc_x or cfg["mesh.nc_x"], nc_y or cfg["mesh.nc_y"],
-                cfg["mesh.lx"], cfg["mesh.ly"],
-            ),
-            cfg["mesh.refine"] if level is None else level,
-        )
+        mesh = refine(build_coarse_mesh(cfg["mesh.nc_x"], cfg["mesh.nc_y"],
+                                        cfg["mesh.lx"], cfg["mesh.ly"]),
+                      cfg["mesh.refine"])
         kappa = coeff.sample_on_mesh(build_field(cfg), mesh)
-        nf = build_nfunction(cfg, eps_minus_pow)
+        nf = build_nfunction(cfg)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
     return solvers.Problem(mesh, kappa, nf, build_source(cfg, mesh))
 
 
 def solver_config(cfg: dict, **overrides) -> solvers.SolverConfig:
-    kwargs = dict(
-        method=cfg["solver.method"],
-        space=cfg["solver.space"],
-        tol=cfg["solver.tol"],
-        max_iters=cfg["solver.max_iters"],
-        line_search=cfg["solver.line_search"],
-        delta=cfg["solver.delta"],
-        sparse_update_threshold=cfg["solver.delta_i"],
-        inner_tol=cfg["solver.inner_tol"],
-        inner_cap=cfg["solver.inner_cap"],
-        localization=None if cfg["solver.ell"] < 0 else cfg["solver.ell"],
-        global_basis=cfg["solver.global_basis"],
-        cq=cfg["solver.cq"],
-        estimate_cn=cfg["solver.estimate_cn"],
-    )
-    kwargs.update(overrides)
-    out = solvers.SolverConfig(**kwargs)
+    """The SolverConfig of cfg's solver.* keys, with keyword overrides."""
+    out = solvers.SolverConfig(**{
+        **{f.name: cfg[f"solver.{f.name}"] for f in fields(solvers.SolverConfig)},
+        **overrides})
     try:
         out.validate()
     except ValueError as exc:
@@ -488,7 +456,8 @@ def run_homogenization_error(cfg: dict, out: str, jobs: int) -> None:
 
     def one(nc: int):
         level = (fine_n // nc).bit_length() - 1
-        problem = build_problem(cfg, nc_x=nc, nc_y=nc, level=level)
+        problem = build_problem({**cfg, "mesh.nc_x": nc, "mesh.nc_y": nc,
+                                 "mesh.refine": level})
         ref = _fine_reference(problem, cfg)
         rep = _run(problem, cfg, ref, ref.final_energy,
                    os.path.join(out, f"nc_{nc}", "iterations.csv"), {"nc": nc},
@@ -508,7 +477,7 @@ def run_homogenization_error(cfg: dict, out: str, jobs: int) -> None:
 
 def run_regularization_study(cfg: dict, out: str, jobs: int) -> None:
     eps_list = cfg["reg.eps_list"]
-    ref_problem = build_problem(cfg, eps_minus_pow=cfg["reg.ref_eps_pow"])
+    ref_problem = build_problem({**cfg, "nfunc.eps_minus_pow": cfg["reg.ref_eps_pow"]})
     ref_report = _fine_reference(ref_problem, cfg)
     power_problem = solvers.Problem(
         ref_problem.mesh, ref_problem.kappa,
@@ -517,7 +486,7 @@ def run_regularization_study(cfg: dict, out: str, jobs: int) -> None:
     j_unreg = power_problem.energy(ref_report.state)
 
     def one(eps_pow: float):
-        problem = build_problem(cfg, eps_minus_pow=eps_pow)
+        problem = build_problem({**cfg, "nfunc.eps_minus_pow": eps_pow})
         rep = _fine_reference(problem, cfg)
         gap = abs(j_unreg - rep.final_energy)
         return [eps_pow, rep.final_energy, gap]
@@ -549,7 +518,7 @@ def run_sparse_update_study(cfg: dict, out: str, jobs: int) -> None:
         tag = f"{d:g}"
         rep = _run(problem, cfg, ref, ref.final_energy,
                    os.path.join(out, f"delta_{tag}", "iterations.csv"),
-                   {"delta_i": tag}, space="coarse", sparse_update_threshold=d)
+                   {"delta_i": tag}, space="coarse", delta_i=d)
         later = [r.bases_updated for r in rep.records[1:-1]]
         frac = sum(later) / (n_basis * len(later)) if later else 1.0
         h1 = fem.error_norms(rep.state, ref.state, p)[0]

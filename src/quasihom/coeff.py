@@ -149,8 +149,8 @@ class ElementCoefficients:
     values: np.ndarray
 
     def __post_init__(self):
-        if np.any(self.values <= 0):
-            raise ValueError("element coefficients must be positive")
+        if not np.all((self.values > 0) & np.isfinite(self.values)):
+            raise ValueError("element coefficients must be finite and positive")
 
 
 def sample_on_mesh(field, mesh: Mesh) -> ElementCoefficients:

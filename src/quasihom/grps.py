@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import sparsela
-from .mesh import Mesh, Patch, build_patch
+from .mesh import Mesh, build_patch
 
 COARSE_BLOCK = 64     # bases per dense column block of the Galerkin matrix
 
@@ -29,7 +29,6 @@ COARSE_BLOCK = 64     # bases per dense column block of the Galerkin matrix
 class CoarseSpace:
     basis: sp.csr_matrix           # (n_coarse, n_free), row i = phi_i
     layers: int | None             # None = global bases
-    patches: list[Patch | None]
 
     @property
     def n_basis(self) -> int:
@@ -92,11 +91,7 @@ def compute_basis(op: sp.csr_matrix, meas: sp.csr_matrix, mesh: Mesh,
     subset (the remaining rows are zero).
     """
     n = meas.shape[0]
-    empty = CoarseSpace(
-        basis=sp.csr_matrix((n, op.shape[0])),
-        layers=layers,
-        patches=[None] * n,
-    )
+    empty = CoarseSpace(basis=sp.csr_matrix((n, op.shape[0])), layers=layers)
     return refresh_basis(empty, op, meas, mesh,
                          range(n) if indices is None else indices)
 
@@ -106,7 +101,8 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
     """Recompute the selected bases against a new operator, keep the rest.
 
     Selected bases whose patches have the same elements share one KKT
-    factorization; a global space is one patch over the whole problem.
+    factorization; a global space is one patch over the whole problem. The
+    patches themselves are grown once per mesh (``build_patch``).
     Repeated or out-of-range indices raise ValueError before any patch is
     built.
     """
@@ -118,15 +114,11 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
     uniq, counts = np.unique(indices, return_counts=True)
     if np.any(counts > 1):
         raise ValueError(f"repeated basis indices: {uniq[counts > 1].tolist()}")
-    patches = list(space.patches)
     if space.layers is None:
         support = [(np.arange(meas.shape[0]), np.arange(op.shape[0]))] * indices.size
     else:
-        for i in indices:
-            if patches[i] is None:
-                patches[i] = build_patch(mesh, i, space.layers)
-        support = [(patches[i].elements, mesh.free_pos[patches[i].interior_fine_nodes])
-                   for i in indices]
+        patches = [build_patch(mesh, i, space.layers) for i in indices]
+        support = [(p.elements, mesh.free_pos[p.interior_fine_nodes]) for p in patches]
     groups: dict[bytes, list[int]] = {}     # patch elements -> positions in indices
     for k, (ids, _) in enumerate(support):
         groups.setdefault(ids.tobytes(), []).append(k)
@@ -147,7 +139,7 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
         rows = np.repeat(indices, sizes)
         cols = np.concatenate([pos for _, pos in support])
         basis = basis + sp.csr_matrix((vals, (rows, cols)), shape=basis.shape)
-    return replace(space, basis=basis.tocsr(), patches=patches)
+    return replace(space, basis=basis.tocsr())
 
 
 def _galerkin_matrix(op: sp.csr_matrix, r: sp.csr_matrix) -> np.ndarray:

@@ -117,7 +117,6 @@ class Patch:
     """Element-centered patch grown by vertex-sharing adjacency on the coarse grid."""
 
     elements: np.ndarray
-    fine_elements: np.ndarray
     interior_fine_nodes: np.ndarray
 
 
@@ -172,8 +171,8 @@ def build_coarse_mesh(ncx: int, ncy: int, lx: float = 1.0, ly: float = 1.0) -> M
     """Coarse triangulation of [0,lx] x [0,ly] with 2*ncx*ncy triangles."""
     if ncx < 1 or ncy < 1:
         raise ValueError("cell counts must be >= 1")
-    if lx <= 0 or ly <= 0:
-        raise ValueError("domain lengths must be positive")
+    if not (0 < lx < np.inf and 0 < ly < np.inf):
+        raise ValueError(f"domain lengths must be finite and positive, got {lx!r} x {ly!r}")
     return _structured(ncx, ncy, lx, ly, 0)
 
 
@@ -187,7 +186,8 @@ def refine(mesh: Mesh, j: int) -> Mesh:
 
 
 def build_patch(mesh: Mesh, i: int, layers: int) -> Patch:
-    """Grow the patch of coarse element i by vertex-sharing adjacency, layers times."""
+    """Grow the patch of coarse element i by vertex-sharing adjacency, layers
+    times; once per mesh, which keeps the finished patch by (i, layers)."""
     if not mesh.is_structured:
         raise ValueError("patches are defined on structured meshes")
     n_coarse = mesh.n_coarse_triangles
@@ -195,6 +195,9 @@ def build_patch(mesh: Mesh, i: int, layers: int) -> Patch:
         raise IndexError(f"coarse element {i} out of range [0, {n_coarse})")
     if layers < 0:
         raise ValueError("layers must be >= 0")
+    key = ("patch", int(i), layers)
+    if key in mesh._cache:
+        return mesh._cache[key]
 
     inc = mesh._cache.get("coarse_inc")   # coarse triangle-vertex incidence
     if inc is None:
@@ -212,13 +215,10 @@ def build_patch(mesh: Mesh, i: int, layers: int) -> Patch:
         in_patch = grown
     elements = np.flatnonzero(in_patch)
 
-    fine_elements = np.flatnonzero(in_patch[mesh.parent])
-    sub_tris = mesh.triangles[fine_elements]
+    sub_tris = mesh.triangles[in_patch[mesh.parent]]
     in_count = np.bincount(sub_tris.ravel(), minlength=mesh.n_vertices)
     total = mesh.node_to_triangle_count()
     interior = np.flatnonzero((in_count == total) & (in_count > 0) & ~mesh.boundary_mask)
-    return Patch(
-        elements=elements,
-        fine_elements=fine_elements,
-        interior_fine_nodes=interior,
-    )
+    # one assignment of a finished patch: threads sharing the mesh see it whole
+    mesh._cache[key] = patch = Patch(elements=elements, interior_fine_nodes=interior)
+    return patch

@@ -39,12 +39,12 @@ class NFunction:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown N-function kind {self.kind!r}")
-        if self.p <= 1:
+        if not self.p > 1:
             raise ValueError("exponent p must be > 1")
         if self.kind != "power":
-            if self.eps_minus <= 0:
+            if not self.eps_minus > 0:
                 raise ValueError("regularized kinds need eps_minus > 0")
-            if self.eps_plus <= self.eps_minus:
+            if not self.eps_plus > self.eps_minus:
                 raise ValueError("need eps_plus > eps_minus")
 
     @staticmethod

@@ -40,16 +40,18 @@ class LineSearchError(Exception):
 
 @dataclass
 class SolverConfig:
+    """Solver options; field ``name`` is the config key ``solver.<name>``."""
+
     method: str = "newton"
     space: str = "fine"
     tol: float = 1e-15
     max_iters: int = 100
     line_search: str = "plain"
     delta: float = 0.68                       # rho threshold for dropping regularization
-    sparse_update_threshold: float = 0.0      # delta_i; 0 rebuilds every basis
+    delta_i: float = 0.0                      # sparse-update threshold; 0 rebuilds every basis
     inner_tol: float = 1e-12
     inner_cap: int = 100
-    localization: int | None = None           # patch layers; None = log(1/H) default
+    ell: int = -1                             # patch layers; < 0 = log(1/H) default
     global_basis: bool = False
     cq: float = 2.0
     estimate_cn: bool = True
@@ -61,19 +63,19 @@ class SolverConfig:
             raise ValueError(f"unknown space {self.space!r}")
         if self.line_search not in LINE_SEARCHES:
             raise ValueError(f"unknown line search {self.line_search!r}")
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if self.inner_tol <= 0:
+        if not self.inner_tol > 0:
             raise ValueError("inner_tol must be positive")
         if self.inner_cap < 1:
             raise ValueError("inner_cap must be >= 1")
-        if self.cq <= 0:
+        if not self.cq > 0:
             raise ValueError("cq must be positive")
         if not 0.5 < self.delta < 1.0:
             raise ValueError("delta must lie in (0.5, 1)")
-        if not self.sparse_update_threshold >= 0:
+        if not self.delta_i >= 0:
             raise ValueError("sparse update threshold (delta_i) must be >= 0")
         if self.method == "quasinorm" and self.space == "coarse":
             raise ValueError("quasi-norm direction is a fine-space method")
@@ -430,9 +432,7 @@ def solve(problem: Problem, cfg: SolverConfig, u0: fem.FemState | None = None,
     if cfg.space == "coarse":
         meas = grps.build_measurements(mesh)
         layers = None if cfg.global_basis else (
-            cfg.localization if cfg.localization is not None
-            else grps.default_layers(mesh)
-        )
+            cfg.ell if cfg.ell >= 0 else grps.default_layers(mesh))
 
     prev_u = None
     converged = False
@@ -465,14 +465,14 @@ def solve(problem: Problem, cfg: SolverConfig, u0: fem.FemState | None = None,
                     op = problem.operator(state, cfg.method)
                 if cfg.space == "coarse":
                     # threshold 0 rebuilds every basis: no increment, no indicators
-                    if space is None or cfg.sparse_update_threshold == 0:
+                    if space is None or cfg.delta_i == 0:
                         space = grps.compute_basis(op, meas, mesh, layers=layers)
                         rec.bases_updated = space.n_basis
                     else:
                         incr = problem.state(state.u - prev_u)
                         op_incr = problem.operator(incr, cfg.method)
                         ind = grps.update_indicators(op_incr, space)
-                        sel = np.flatnonzero(ind >= cfg.sparse_update_threshold)
+                        sel = np.flatnonzero(ind >= cfg.delta_i)
                         space = grps.refresh_basis(space, op, meas, mesh, sel)
                         rec.bases_updated = int(sel.size)
                     w = grps.coarse_solve(op, -r, space)
@@ -488,7 +488,7 @@ def solve(problem: Problem, cfg: SolverConfig, u0: fem.FemState | None = None,
                 break
 
             if cfg.estimate_cn and cfg.method in ("pgd", "newton"):
-                w0 = w if cfg.space == "fine" else sparsela.factorized_spd(op)(-r)
+                w0 = w if cfg.space == "fine" else search_direction(op, r)
                 with contextlib.suppress(ValueError):     # c_tilde stays nan
                     rec.c_tilde = estimate_cn(problem, state, w0, op)
 

@@ -260,15 +260,15 @@ def test_c09_sparse_updating():
                 line_search="residual_regularized", max_iters=30)
     # threshold 0 rebuilds every basis without indicators; the smallest
     # positive threshold takes the indicator route and selects every basis
-    rep_full = solvers.solve(pr, SolverConfig(sparse_update_threshold=0.0, **base),
+    rep_full = solvers.solve(pr, SolverConfig(delta_i=0.0, **base),
                              reference_energy=ref.final_energy)
     tiny = np.finfo(float).tiny
-    rep_tiny = solvers.solve(pr, SolverConfig(sparse_update_threshold=tiny, **base),
+    rep_tiny = solvers.solve(pr, SolverConfig(delta_i=tiny, **base),
                              reference_energy=ref.final_energy)
     assert np.array_equal(rep_full.state.u, rep_tiny.state.u)
 
     h1_full = fem.error_norms(rep_full.state, ref.state, 20.0)[0]
-    rep_sparse = solvers.solve(pr, SolverConfig(sparse_update_threshold=0.3, **base),
+    rep_sparse = solvers.solve(pr, SolverConfig(delta_i=0.3, **base),
                                reference_energy=ref.final_energy)
     m = pr.mesh.n_coarse_triangles
     ups = [r.bases_updated for r in rep_sparse.records[:-1]]

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -31,6 +32,25 @@ def test_parse_config_defaults_and_overrides(tmp_path):
 
 def test_solver_defaults_come_from_solver_config():
     assert cli.solver_config(parse_config(None, [])) == solvers.SolverConfig()
+
+
+# a valid value other than the default, for each SolverConfig field
+_SOLVER_VALUES = {
+    "method": "pgd", "space": "coarse", "tol": "1e-9", "max_iters": "7",
+    "line_search": "residual_regularized", "delta": "0.75", "delta_i": "0.5",
+    "inner_tol": "1e-9", "inner_cap": "9", "ell": "3", "global_basis": "true",
+    "cq": "3", "estimate_cn": "false",
+}
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(solvers.SolverConfig)])
+def test_every_solver_key_reaches_solver_config(name):
+    # each field is read from the config key of its own name
+    cfg = parse_config(None, [(f"solver.{name}", _SOLVER_VALUES[name])])
+    value = getattr(cli.solver_config(cfg), name)
+    assert value == cfg[f"solver.{name}"]
+    assert value != getattr(solvers.SolverConfig(), name)
+    assert type(value) is type(getattr(solvers.SolverConfig(), name))
 
 
 def test_iteration_table_columns():
@@ -275,6 +295,9 @@ def test_csv_17_digit_format(tmp_path):
     assert "0.33333333333333331" in text
 
 
+_NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
+
+
 @pytest.mark.parametrize("args", [
     ["solve", "--solver.delta_i", "abc"],
     # threshold 0 is the full rebuild; there is no "full" spelling
@@ -309,12 +332,27 @@ def test_csv_17_digit_format(tmp_path):
     # jobs <= 1 runs serially, so these used to pass without a word
     ["solve", "--jobs", "0"],
     ["solve", "--jobs", "-2"],
+    # non-finite inputs: these used to end in a singular factor (exit 4), a
+    # plotting traceback, or a run that went through with exit 0
+    [*_NC2, "--coeff.kind", "constant", "--coeff.value", "nan"],
+    [*_NC2, "--coeff.kind", "constant", "--coeff.value", "inf"],
+    [*_NC2, "--coeff.kind", "channels", "--coeff.contrast", "nan"],
+    [*_NC2, "--coeff.kind", "channels", "--coeff.contrast", "inf"],
+    [*_NC2, "--mesh.lx", "nan"],
+    [*_NC2, "--mesh.lx", "inf"],
+    [*_NC2, "--nfunc.p", "5", "--nfunc.eps_minus_pow", "nan"],
+    [*_NC2, "--nfunc.eps_plus", "nan"],
+    [*_NC2, "--solver.tol", "nan"],
+    [*_NC2, "--solver.cq", "nan"],
+    [*_NC2, "--solver.inner_tol", "nan"],
 ], ids=["delta_i", "delta_i_full", "delta_i_negative", "delta_i_nan",
         "delta_list_zero", "delta_list_duplicate_tag", "nfunc_p", "nc_list", "inner_cap", "cq", "inner_tol",
         "max_iters", "fine_n_below_nc", "fine_n_zero", "nc_zero",
         "nc_negative", "nc_list_empty", "eps_list_empty", "methods_empty",
         "grid_empty_no_dims", "grid_no_dims", "grid_no_cols", "jobs_zero",
-        "jobs_negative"])
+        "jobs_negative", "coeff_value_nan", "coeff_value_inf", "contrast_nan",
+        "contrast_inf", "lx_nan", "lx_inf", "eps_minus_pow_nan", "eps_plus_nan",
+        "tol_nan", "cq_nan", "inner_tol_nan"])
 def test_main_bad_value_exit_code(tmp_path, args):
     rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),
                "--out", str(tmp_path)])

@@ -161,10 +161,7 @@ def test_coarse_solve_identity_basis_reproduces_fine(rng):
     pr = make_problem(2, 1, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
     n = pr.mesh.free_nodes.size
-    space = CoarseSpace(
-        basis=sp.eye(n, format="csr"), layers=None,
-        patches=[None] * n,
-    )
+    space = CoarseSpace(basis=sp.eye(n, format="csr"), layers=None)
     rhs = rng.standard_normal(n)
     out = coarse_solve(op, rhs, space)
     fine = np.linalg.solve(op.toarray(), rhs)
@@ -268,17 +265,24 @@ def test_refresh_keeps_unselected(rng):
     assert not np.array_equal(space1.basis[0].toarray(), space0.basis[0].toarray())
 
 
-def test_refresh_reuses_held_patches(monkeypatch):
+def test_patches_grown_once_per_mesh_and_layer_count(monkeypatch):
+    # two full builds on one mesh fetch every patch twice, and the second
+    # fetch hands back the very patch the first one grew
     pr = make_problem(3, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
     meas = build_measurements(pr.mesh)
+    fetched: dict[tuple, list] = {}
+
+    def spy(mesh, i, layers):
+        patch = build_patch(mesh, i, layers)
+        fetched.setdefault((int(i), layers), []).append(patch)
+        return patch
+
+    monkeypatch.setattr(grps, "build_patch", spy)
     space0 = compute_basis(op, meas, pr.mesh, layers=1)
-    assert all(p is not None for p in space0.patches)
-    calls = []
-    monkeypatch.setattr(grps, "build_patch",
-                        lambda *a: calls.append(a) or build_patch(*a))
-    space1 = refresh_basis(space0, op, meas, pr.mesh, indices=range(meas.shape[0]))
-    assert calls == []
+    space1 = compute_basis(op, meas, pr.mesh, layers=1)
+    assert sorted(fetched) == [(i, 1) for i in range(meas.shape[0])]
+    assert all(len(ps) == 2 and ps[1] is ps[0] for ps in fetched.values())
     assert np.array_equal(space1.basis.toarray(), space0.basis.toarray())
 
 
@@ -433,8 +437,7 @@ def test_refresh_rejects_bad_indices_before_building(indices, match, monkeypatch
     pr = make_problem(3, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
     meas = build_measurements(pr.mesh)
-    empty = CoarseSpace(sp.csr_matrix((meas.shape[0], op.shape[0])), 2,
-                        [None] * meas.shape[0])
+    empty = CoarseSpace(sp.csr_matrix((meas.shape[0], op.shape[0])), 2)
     patches = []
     monkeypatch.setattr(grps, "build_patch",
                         lambda *a: patches.append(a) or build_patch(*a))
@@ -465,7 +468,7 @@ def test_coarse_solve_never_densifies_the_whole_basis():
                   [-1, 0, 1], format="csr")
     r = sp.random(n_basis, n, density=0.005, format="csr",
                   rng=np.random.default_rng(3))
-    space = CoarseSpace(basis=r, layers=None, patches=[None] * n_basis)
+    space = CoarseSpace(basis=r, layers=None)
     rhs = np.ones(n)
     full = n * n_basis * 8
     tracemalloc.start()

@@ -132,7 +132,8 @@ def test_full_patch_covers_mesh():
     # interior nodes are exactly the free nodes of the mesh
     m = refine(build_coarse_mesh(2, 2), 1)
     p = build_patch(m, 0, 4)
-    assert np.array_equal(p.fine_elements, np.arange(m.n_triangles))
+    assert np.array_equal(np.flatnonzero(np.isin(m.parent, p.elements)),
+                          np.arange(m.n_triangles))
     assert np.array_equal(p.interior_fine_nodes, m.free_nodes)
 
 
@@ -142,7 +143,7 @@ def test_corner_triangle_submesh_boundary_flags():
     m = refine(build_coarse_mesh(2, 2), 2)
     p = build_patch(m, 0, 0)
     interior = set(p.interior_fine_nodes.tolist())
-    for g in np.unique(m.triangles[p.fine_elements].ravel()):
+    for g in np.unique(m.triangles[np.isin(m.parent, p.elements)].ravel()):
         x, y = m.vertices[g]
         on_domain_boundary = x in (0.0, 1.0) or y in (0.0, 1.0)
         if on_domain_boundary:
@@ -155,7 +156,7 @@ def test_corner_triangle_submesh_boundary_flags():
 def test_interior_fine_nodes_match_definition():
     m = refine(build_coarse_mesh(4, 4), 2)
     p = build_patch(m, 10, 1)
-    fine_set = set(p.fine_elements.tolist())
+    fine_set = set(np.flatnonzero(np.isin(m.parent, p.elements)).tolist())
     tri_of_node = [[] for _ in range(m.n_vertices)]
     for t, tri in enumerate(m.triangles):
         for v in tri:

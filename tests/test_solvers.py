@@ -349,9 +349,9 @@ def test_solve_coarse_sparse_zero_threshold_bitwise():
                 line_search="plain")
     # the smallest positive threshold takes the indicator route, and every
     # indicator reaches it
-    rep_tiny = solvers.solve(pr, SolverConfig(sparse_update_threshold=np.finfo(float).tiny,
+    rep_tiny = solvers.solve(pr, SolverConfig(delta_i=np.finfo(float).tiny,
                                               **base))
-    rep_zero = solvers.solve(pr, SolverConfig(sparse_update_threshold=0.0, **base))
+    rep_zero = solvers.solve(pr, SolverConfig(delta_i=0.0, **base))
     assert np.array_equal(rep_tiny.state.u, rep_zero.state.u)
     assert rep_tiny.final_energy == rep_zero.final_energy
     # both routes rebuilt every basis each iteration
@@ -381,7 +381,7 @@ def test_solve_coarse_zero_threshold_skips_indicators(monkeypatch):
 def test_solve_coarse_sparse_positive_threshold_skips(rng):
     pr = make_problem(4, 2, p=5.0, kind="mstrig")
     base = dict(method="newton", space="coarse", max_iters=8, line_search="plain")
-    rep = solvers.solve(pr, SolverConfig(sparse_update_threshold=100.0, **base))
+    rep = solvers.solve(pr, SolverConfig(delta_i=100.0, **base))
     m = pr.mesh.n_coarse_triangles
     ups = [r.bases_updated for r in rep.records[:-1]]
     assert ups[0] == m                # full first build

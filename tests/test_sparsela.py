@@ -190,8 +190,8 @@ def test_saddle_high_contrast_patch_matches_dense():
     meas = grps.build_measurements(mesh)
     checked = 0
     for i in range(0, mesh.n_coarse_triangles, 9):
-        patch = build_patch(mesh, i, 1)
-        if kappa[patch.fine_elements].max() / kappa[patch.fine_elements].min() < 1e6:
+        patch_kappa = kappa[np.isin(mesh.parent, build_patch(mesh, i, 1).elements)]
+        if patch_kappa.max() / patch_kappa.min() < 1e6:
             continue
         _assert_matches_dense(*_patch_kkt(mesh, op, meas, i))
         checked += 1
