@@ -17,6 +17,8 @@ import os
 import shutil
 import sys
 
+from quasihom import cli
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 DESK = os.path.join(HERE, "desk")
 
@@ -39,7 +41,6 @@ COMMANDS = {
 
 def run(out: str) -> None:
     """Run every command, writing into out/<name>; raises on a nonzero exit."""
-    from quasihom import cli
     for name, args in COMMANDS.items():
         rc = cli.main([*args, "--out", os.path.join(out, name)])
         if rc != 0:

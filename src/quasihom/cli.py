@@ -166,10 +166,10 @@ def build_problem(cfg: dict) -> solvers.Problem:
                                         cfg["mesh.lx"], cfg["mesh.ly"]),
                       cfg["mesh.refine"])
         kappa = coeff.sample_on_mesh(build_field(cfg), mesh)
-        nf = build_nfunction(cfg)
+        return solvers.Problem(mesh, kappa, build_nfunction(cfg),
+                               build_source(cfg, mesh))
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    return solvers.Problem(mesh, kappa, nf, build_source(cfg, mesh))
 
 
 def solver_config(cfg: dict, **overrides) -> solvers.SolverConfig:
@@ -476,14 +476,14 @@ def run_homogenization_error(cfg: dict, out: str, jobs: int) -> None:
 
 
 def run_regularization_study(cfg: dict, out: str, jobs: int) -> None:
+    if cfg["nfunc.kind"] == "power" or cfg["nfunc.p"] == 2:
+        raise ConfigError("regularization-study needs a regularized nfunc.kind and "
+                          "nfunc.p != 2: every energy gap is 0 otherwise")
     eps_list = cfg["reg.eps_list"]
     ref_problem = build_problem({**cfg, "nfunc.eps_minus_pow": cfg["reg.ref_eps_pow"]})
     ref_report = _fine_reference(ref_problem, cfg)
-    power_problem = solvers.Problem(
-        ref_problem.mesh, ref_problem.kappa,
-        nfunc.NFunction("power", cfg["nfunc.p"]), ref_problem.f_nodes,
-    )
-    j_unreg = power_problem.energy(ref_report.state)
+    j_unreg = fem.energy(ref_report.state, ref_problem.kappa,
+                         nfunc.NFunction("power", cfg["nfunc.p"]), ref_problem.load)
 
     def one(eps_pow: float):
         problem = build_problem({**cfg, "nfunc.eps_minus_pow": eps_pow})

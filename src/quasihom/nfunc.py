@@ -39,8 +39,8 @@ class NFunction:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown N-function kind {self.kind!r}")
-        if not self.p > 1:
-            raise ValueError("exponent p must be > 1")
+        if not 1 < self.p < math.inf:
+            raise ValueError("exponent p must be > 1 and finite")
         if self.kind != "power":
             if not self.eps_minus > 0:
                 raise ValueError("regularized kinds need eps_minus > 0")

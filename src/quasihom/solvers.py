@@ -2,9 +2,10 @@
 iterations with operator-adapted bases, residual-regularized line search,
 and sparse basis updating.
 
-Per-iteration scaling constants are absorbed into the line search; the
-quasi-norm direction keeps its explicit constant (config ``cq``) and is
-line-searched on top.
+Every method steps along ``direction``, which makes each of its linear
+solves in the iteration's space. Per-iteration scaling constants are
+absorbed into the line search; the quasi-norm direction keeps its explicit
+constant (config ``cq``) and is line-searched on top.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ LS_REL_TOL = 1e-6      # relative width at which the golden section stops
 FD_STEP = 1e-6         # central-difference step of the penalty weight lambda
 CN_LOG_TOL = 1e-9      # bracket width in log c at which the c_tilde search stops
 QN_DEFECT_TOL = 1e-8   # relative defect of the quasi-norm relation that counts as solved
+QN_INNER_TOL = 1e-12   # relative update size at which the quasi-norm inner loop stops
+QN_INNER_CAP = 100     # passes of the quasi-norm inner loop
 RESIDUAL_ZERO = 1e-12  # |r| / |load| at which a residual is zero to round-off
 
 METHODS = ("gd", "pgd", "newton", "quasinorm")
@@ -49,8 +52,6 @@ class SolverConfig:
     line_search: str = "plain"
     delta: float = 0.68                       # rho threshold for dropping regularization
     delta_i: float = 0.0                      # sparse-update threshold; 0 rebuilds every basis
-    inner_tol: float = 1e-12
-    inner_cap: int = 100
     ell: int = -1                             # patch layers; < 0 = log(1/H) default
     global_basis: bool = False
     cq: float = 2.0
@@ -67,12 +68,8 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
-        if not self.inner_tol > 0:
-            raise ValueError("inner_tol must be positive")
-        if self.inner_cap < 1:
-            raise ValueError("inner_cap must be >= 1")
-        if not self.cq > 0:
-            raise ValueError("cq must be positive")
+        if not 0 < self.cq < math.inf:
+            raise ValueError("cq must be positive and finite")
         if not 0.5 < self.delta < 1.0:
             raise ValueError("delta must lie in (0.5, 1)")
         if not self.delta_i >= 0:
@@ -127,6 +124,8 @@ class Problem:
         if self.f_nodes.size != mesh.n_vertices:
             raise ValueError(f"f has {self.f_nodes.size} values for "
                              f"{mesh.n_vertices} nodes")
+        if not np.all(np.isfinite(self.f_nodes)):
+            raise ValueError("f has non-finite values")
         self.mass = fem.assemble_mass(mesh)
         free = mesh.free_nodes
         self.mass_free = self.mass[free][:, free].tocsr()
@@ -180,29 +179,31 @@ def poisson_initial(problem: Problem) -> fem.FemState:
     return problem.state(problem.expand(u_free))
 
 
-def search_direction(op: sp.csr_matrix, r: np.ndarray) -> np.ndarray:
-    """Fine-space direction: solve A[u] w = -J'(u) over free nodes, given the
-    linearized operator op = A[u] and the residual r = J'(u)."""
-    return sparsela.factorized_spd(op)(-r)
+def direction(problem: Problem, state: fem.FemState, cfg: SolverConfig,
+              r: np.ndarray, op: sp.csr_matrix | None,
+              space: grps.CoarseSpace | None) -> tuple[np.ndarray, bool]:
+    """Search direction of ``cfg.method`` at state, given r = J'(u) and the
+    linearized operator op = A[u] (None for quasinorm). Every linear solve
+    is made in the space: factored in the fine space (None), a Galerkin
+    solve in a coarse one.
 
-
-def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig,
-                        r: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Implicit quasi-norm direction:
-    cq * int kappa phi''(|grad u| + |grad w|) grad w . grad v = -J'(u)(v) = -r . v.
-
-    This is the stationarity condition of the strictly convex inner energy
-    cq * int kappa [t phi'(a+t) - phi(a+t) + phi(a)] at t = |grad w|, a =
-    |grad u|, plus the residual pairing. Solved by frozen-coefficient
-    (Kacanov) updates safeguarded with Armijo backtracking on the inner
-    energy; quadratic problems finish in a single exact step.
-
-    Returns (w, ok). The loop stops on a small update (an Armijo step shrunk
-    on round-off gives one too) or at ``inner_cap``, so ``ok`` checks the
-    relation at the returned w: |cq K(w) w + r| <= QN_DEFECT_TOL |r|, K(w)
-    weighted by kappa phi''(|grad u| + |grad w|), or r is zero to round-off
-    (|r| <= RESIDUAL_ZERO |load|).
+    gd, pgd and newton solve op w = -r and return ok = True. The quasi-norm
+    direction solves cq K(w) w = -r, K(w) the stiffness weighted by
+    kappa phi''(|grad u| + |grad w|): the stationarity condition of the
+    strictly convex inner energy cq * int kappa [t phi'(a+t) - phi(a+t) +
+    phi(a)] + r . w at t = |grad w|, a = |grad u|. Frozen-coefficient
+    (Kacanov) passes, safeguarded with Armijo backtracking on the inner
+    energy, stop on a small update (an Armijo step shrunk on round-off gives
+    one too) or after QN_INNER_CAP passes; quadratic problems finish in one
+    exact step. So ``ok`` checks the relation at the returned w:
+    |cq K(w) w + r| <= QN_DEFECT_TOL |r|, or r is zero to round-off.
     """
+    def solve_in_space(k: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
+        return (sparsela.factorized_spd(k)(rhs) if space is None
+                else grps.coarse_solve(k, rhs, space))
+
+    if cfg.method != "quasinorm":
+        return solve_in_space(op, -r), True
     mesh = problem.mesh
     nf = problem.nf
     kv = problem.kappa.values
@@ -222,13 +223,13 @@ def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig
 
     w = np.zeros(r.size)
     e_cur = inner_energy(w)
-    for _ in range(cfg.inner_cap):
+    for _ in range(QN_INNER_CAP):
         k = stiffness(w)
-        target = sparsela.factorized_spd(k)(-r / cq)
+        target = solve_in_space(k, -r / cq)
         d = target - w
         d_norm = math.sqrt(max(d @ (k @ d), 0.0))
         t_norm = math.sqrt(max(target @ (k @ target), 1e-300))
-        if d_norm <= cfg.inner_tol * t_norm:
+        if d_norm <= QN_INNER_TOL * t_norm:
             break
         slope = float((cq * (k @ w) + r) @ d)
         alpha = 1.0
@@ -240,7 +241,7 @@ def quasinorm_direction(problem: Problem, state: fem.FemState, cfg: SolverConfig
             e_new = inner_energy(w + alpha * d)
         w = w + alpha * d
         e_cur = e_new
-        if alpha * d_norm <= cfg.inner_tol * t_norm:
+        if alpha * d_norm <= QN_INNER_TOL * t_norm:
             break
     r_norm = np.linalg.norm(r)
     if r_norm <= RESIDUAL_ZERO * np.linalg.norm(problem.load[mesh.free_nodes]):
@@ -461,8 +462,8 @@ def solve(problem: Problem, cfg: SolverConfig, u0: fem.FemState | None = None,
             rec.residual_l2h = problem.residual_l2h(r)
             try:
                 # the quasi-norm direction assembles its own stiffness
-                if cfg.method != "quasinorm":
-                    op = problem.operator(state, cfg.method)
+                op = None if cfg.method == "quasinorm" else problem.operator(
+                    state, cfg.method)
                 if cfg.space == "coarse":
                     # threshold 0 rebuilds every basis: no increment, no indicators
                     if space is None or cfg.delta_i == 0:
@@ -475,12 +476,8 @@ def solve(problem: Problem, cfg: SolverConfig, u0: fem.FemState | None = None,
                         sel = np.flatnonzero(ind >= cfg.delta_i)
                         space = grps.refresh_basis(space, op, meas, mesh, sel)
                         rec.bases_updated = int(sel.size)
-                    w = grps.coarse_solve(op, -r, space)
-                elif cfg.method == "quasinorm":
-                    w, inner_ok = quasinorm_direction(problem, state, cfg, r)
-                    rec.inner_unsolved = not inner_ok
-                else:
-                    w = search_direction(op, r)
+                w, inner_ok = direction(problem, state, cfg, r, op, space)
+                rec.inner_unsolved = not inner_ok
                 if not np.all(np.isfinite(w)):
                     raise sparsela.SolveError("non-finite direction")
             except sparsela.SolveError as exc:
@@ -488,7 +485,7 @@ def solve(problem: Problem, cfg: SolverConfig, u0: fem.FemState | None = None,
                 break
 
             if cfg.estimate_cn and cfg.method in ("pgd", "newton"):
-                w0 = w if cfg.space == "fine" else search_direction(op, r)
+                w0 = w if space is None else sparsela.factorized_spd(op)(-r)
                 with contextlib.suppress(ValueError):     # c_tilde stays nan
                     rec.c_tilde = estimate_cn(problem, state, w0, op)
 

@@ -102,7 +102,8 @@ def test_c03_linear_reduction():
         pr = _problem(4, 2, 2.0, field)
         m = pr.mesh
         st = pr.state()
-        w = solvers.search_direction(pr.operator(st, "newton"), pr.residual(st))
+        w, _ = solvers.direction(pr, st, SolverConfig(), pr.residual(st),
+                                 pr.operator(st, "newton"), None)
         k = fem.weighted_stiffness(m, pr.kappa.values)
         u_lin = np.linalg.solve(k.toarray(), pr.load[m.free_nodes])
         assert np.linalg.norm(w - u_lin) <= 1e-10 * np.linalg.norm(u_lin)

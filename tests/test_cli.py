@@ -38,7 +38,7 @@ def test_solver_defaults_come_from_solver_config():
 _SOLVER_VALUES = {
     "method": "pgd", "space": "coarse", "tol": "1e-9", "max_iters": "7",
     "line_search": "residual_regularized", "delta": "0.75", "delta_i": "0.5",
-    "inner_tol": "1e-9", "inner_cap": "9", "ell": "3", "global_basis": "true",
+    "ell": "3", "global_basis": "true",
     "cq": "3", "estimate_cn": "false",
 }
 
@@ -310,11 +310,10 @@ _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
     ["sparse-update-study", "--sparse.delta_list", "5,5.0000001"],
     ["solve", "--nfunc.p", "2.015625"],         # eps_minus underflows to 0
     ["homogenization-error", "--hom.nc_list", "4,x"],
-    ["solve", "--solver.method", "quasinorm", "--solver.space", "fine",
-     "--solver.inner_cap", "0"],
+    # the quasi-norm inner loop's cap and tolerance are constants, not keys
+    [*_NC2, "--solver.inner_cap", "100"],
     ["solve", "--solver.method", "quasinorm", "--solver.space", "fine",
      "--solver.cq", "0"],
-    ["solve", "--solver.inner_tol", "0"],
     ["solve", "--solver.max_iters", "-1"],
     ["homogenization-error", "--hom.nc_list", "4", "--hom.fine_n", "2"],
     ["homogenization-error", "--hom.fine_n", "0"],
@@ -344,15 +343,24 @@ _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
     [*_NC2, "--nfunc.eps_plus", "nan"],
     [*_NC2, "--solver.tol", "nan"],
     [*_NC2, "--solver.cq", "nan"],
-    [*_NC2, "--solver.inner_tol", "nan"],
+    # these went through with exit 0 and converged = 1
+    [*_NC2, "--solver.method", "quasinorm", "--solver.space", "fine",
+     "--solver.cq", "inf"],
+    [*_NC2, "--nfunc.p", "inf"],
+    # these ended in a plotting traceback (exit 1): nothing to plot
+    [*_NC2, "--f.kind", "constant", "--f.value", "nan"],
+    [*_NC2, "--f.kind", "constant", "--f.value", "inf"],
+    ["regularization-study", "--nfunc.kind", "power"],
+    ["regularization-study", "--nfunc.p", "2"],
 ], ids=["delta_i", "delta_i_full", "delta_i_negative", "delta_i_nan",
-        "delta_list_zero", "delta_list_duplicate_tag", "nfunc_p", "nc_list", "inner_cap", "cq", "inner_tol",
-        "max_iters", "fine_n_below_nc", "fine_n_zero", "nc_zero",
+        "delta_list_zero", "delta_list_duplicate_tag", "nfunc_p", "nc_list",
+        "inner_cap_removed", "cq", "max_iters", "fine_n_below_nc", "fine_n_zero", "nc_zero",
         "nc_negative", "nc_list_empty", "eps_list_empty", "methods_empty",
         "grid_empty_no_dims", "grid_no_dims", "grid_no_cols", "jobs_zero",
         "jobs_negative", "coeff_value_nan", "coeff_value_inf", "contrast_nan",
         "contrast_inf", "lx_nan", "lx_inf", "eps_minus_pow_nan", "eps_plus_nan",
-        "tol_nan", "cq_nan", "inner_tol_nan"])
+        "tol_nan", "cq_nan", "cq_inf", "p_inf", "f_value_nan", "f_value_inf",
+        "reg_study_power", "reg_study_p2"])
 def test_main_bad_value_exit_code(tmp_path, args):
     rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),
                "--out", str(tmp_path)])
