@@ -401,16 +401,17 @@ def run_solve(cfg: dict, out: str, jobs: int) -> None:
     report = _run(problem, cfg, reference,
                   None if reference is None else reference.final_energy,
                   os.path.join(out, "iterations.csv"), {"experiment": "solve"})
-    if len(report.records) > 1:
-        emit_svg(iteration_table(report), "n", ["energy"],
-                 os.path.join(out, "energy.svg"), title="energy history")
     summary = ResultTable(
         columns=["converged", "iterations", "final_energy"],
         rows=[[float(report.converged), len(report.records) - 1, report.final_energy]],
         meta={"reason": report.reason},
     )
     write_csv(summary, os.path.join(out, "summary.csv"))
-    if report.reason.startswith("solver_failure"):
+    # an overflow at the first energy leaves no finite point to plot
+    if len(report.records) > 1 and np.isfinite(report.energies).any():
+        emit_svg(iteration_table(report), "n", ["energy"],
+                 os.path.join(out, "energy.svg"), title="energy history")
+    if report.reason.startswith(("solver_failure", "energy_nonfinite")):
         raise sparsela.SolveError(report.reason)
 
 

@@ -27,8 +27,10 @@ COARSE_BLOCK = 64     # bases per dense column block of the Galerkin matrix
 
 @dataclass
 class CoarseSpace:
+    mesh: Mesh
+    meas: sp.csr_matrix            # (n_coarse, n_free), built once per space
+    layers: int | None             # patch layers; None = global bases
     basis: sp.csr_matrix           # (n_coarse, n_free), row i = phi_i
-    layers: int | None             # None = global bases
 
     @property
     def n_basis(self) -> int:
@@ -61,17 +63,16 @@ def build_measurements(mesh: Mesh) -> sp.csr_matrix:
     return full[:, mesh.free_nodes].tocsr()
 
 
-def _solve_patch(op: sp.csr_matrix, meas: sp.csr_matrix, ids: np.ndarray,
-                 pos: np.ndarray, bases: np.ndarray, outs: list[np.ndarray],
-                 layers: int | None) -> None:
+def _solve_patch(space: CoarseSpace, op: sp.csr_matrix, ids: np.ndarray,
+                 pos: np.ndarray, bases: np.ndarray, outs: list[np.ndarray]) -> None:
     """Solve the bases `bases` of one patch (coarse elements `ids`, free-node
     positions `pos`) into `outs`: one KKT factorization, dropped on return,
     and one checked saddle solve per basis."""
     try:
-        factor = sparsela.KKTFactor(op[pos][:, pos], meas[ids][:, pos])
+        factor = sparsela.KKTFactor(op[pos][:, pos], space.meas[ids][:, pos])
     except sparsela.SolveError as exc:
-        where = ("global basis build" if layers is None
-                 else f"bases {bases.tolist()} (layers={layers})")
+        where = ("global basis build" if space.layers is None
+                 else f"bases {bases.tolist()} (layers={space.layers})")
         raise sparsela.RankDeficiencyError(f"{where}: {exc}") from exc
     for i, out in zip(bases, outs):
         rhs_c = np.zeros(ids.size)
@@ -80,24 +81,21 @@ def _solve_patch(op: sp.csr_matrix, meas: sp.csr_matrix, ids: np.ndarray,
             out[:], _ = sparsela.solve_saddle(factor, rhs_c)
         except sparsela.SolveError as exc:
             raise sparsela.RankDeficiencyError(
-                f"basis {i} (layers={layers}): {exc}") from exc
+                f"basis {i} (layers={space.layers}): {exc}") from exc
 
 
-def compute_basis(op: sp.csr_matrix, meas: sp.csr_matrix, mesh: Mesh,
-                  layers: int | None = None, indices=None) -> CoarseSpace:
-    """Coarse space for the given operator; layers=None builds global bases.
-
-    Patch problems are independent; `indices` restricts computation to a
-    subset (the remaining rows are zero).
-    """
-    n = meas.shape[0]
-    empty = CoarseSpace(basis=sp.csr_matrix((n, op.shape[0])), layers=layers)
-    return refresh_basis(empty, op, meas, mesh,
-                         range(n) if indices is None else indices)
+def coarse_space(mesh: Mesh, layers: int | None) -> CoarseSpace:
+    """The space of the mesh with every basis zero, to be built by
+    ``refresh_basis``; layers=None makes global bases, layers < 0 the
+    ``default_layers`` radius."""
+    meas = build_measurements(mesh)
+    if layers is not None and layers < 0:
+        layers = default_layers(mesh)
+    return CoarseSpace(mesh=mesh, meas=meas, layers=layers,
+                       basis=sp.csr_matrix(meas.shape))
 
 
-def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
-                  mesh: Mesh, indices) -> CoarseSpace:
+def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, indices) -> CoarseSpace:
     """Recompute the selected bases against a new operator, keep the rest.
 
     Selected bases whose patches have the same elements share one KKT
@@ -114,8 +112,9 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
     uniq, counts = np.unique(indices, return_counts=True)
     if np.any(counts > 1):
         raise ValueError(f"repeated basis indices: {uniq[counts > 1].tolist()}")
+    mesh = space.mesh
     if space.layers is None:
-        support = [(np.arange(meas.shape[0]), np.arange(op.shape[0]))] * indices.size
+        support = [(np.arange(space.n_basis), np.arange(op.shape[0]))] * indices.size
     else:
         patches = [build_patch(mesh, i, space.layers) for i in indices]
         support = [(p.elements, mesh.free_pos[p.interior_fine_nodes]) for p in patches]
@@ -128,8 +127,8 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, meas: sp.csr_matrix,
     vals = np.empty(offsets[-1])
     for ks in groups.values():
         ids, pos = support[ks[0]]
-        _solve_patch(op, meas, ids, pos, indices[ks],
-                     [vals[offsets[k]:offsets[k + 1]] for k in ks], space.layers)
+        _solve_patch(space, op, ids, pos, indices[ks],
+                     [vals[offsets[k]:offsets[k + 1]] for k in ks])
     # rows not rebuilt are kept as they are, the rebuilt ones zeroed and
     # replaced by their new triplets
     keep = np.ones(space.n_basis, dtype=bool)

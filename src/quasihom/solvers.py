@@ -64,8 +64,8 @@ class SolverConfig:
             raise ValueError(f"unknown space {self.space!r}")
         if self.line_search not in LINE_SEARCHES:
             raise ValueError(f"unknown line search {self.line_search!r}")
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if self.max_iters < 0:
             raise ValueError("max_iters must be >= 0")
         if not 0 < self.cq < math.inf:
@@ -196,7 +196,8 @@ def direction(problem: Problem, state: fem.FemState, cfg: SolverConfig,
     energy, stop on a small update (an Armijo step shrunk on round-off gives
     one too) or after QN_INNER_CAP passes; quadratic problems finish in one
     exact step. So ``ok`` checks the relation at the returned w:
-    |cq K(w) w + r| <= QN_DEFECT_TOL |r|, or r is zero to round-off.
+    |cq K(w) w + r| <= QN_DEFECT_TOL |r|, or r is zero to round-off; K(w)
+    is assembled for it only where its weights differ from the last pass's.
     """
     def solve_in_space(k: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
         return (sparsela.factorized_spd(k)(rhs) if space is None
@@ -217,14 +218,15 @@ def direction(problem: Problem, state: fem.FemState, cfg: SolverConfig,
         ph, dph = nfunc.phi(nf, a + wn), nfunc.dphi(nf, a + wn)
         return cq * float(areas @ (kv * (wn * dph - ph + phi_a))) + float(r @ wv)
 
-    def stiffness(wv: np.ndarray) -> sp.csr_matrix:
+    def stiffness_weights(wv: np.ndarray) -> np.ndarray:
         wn = fem.FemState(mesh, problem.expand(wv)).grad_norms()
-        return fem.weighted_stiffness(mesh, kv * nfunc.ddphi(nf, a + wn))
+        return kv * nfunc.ddphi(nf, a + wn)
 
     w = np.zeros(r.size)
     e_cur = inner_energy(w)
     for _ in range(QN_INNER_CAP):
-        k = stiffness(w)
+        k_weights = stiffness_weights(w)
+        k = fem.weighted_stiffness(mesh, k_weights)
         target = solve_in_space(k, -r / cq)
         d = target - w
         d_norm = math.sqrt(max(d @ (k @ d), 0.0))
@@ -246,7 +248,10 @@ def direction(problem: Problem, state: fem.FemState, cfg: SolverConfig,
     r_norm = np.linalg.norm(r)
     if r_norm <= RESIDUAL_ZERO * np.linalg.norm(problem.load[mesh.free_nodes]):
         return w, True
-    return w, bool(np.linalg.norm(cq * (stiffness(w) @ w) + r) <= QN_DEFECT_TOL * r_norm)
+    w_weights = stiffness_weights(w)
+    if not np.array_equal(w_weights, k_weights):    # else k already is K(w)
+        k = fem.weighted_stiffness(mesh, w_weights)
+    return w, bool(np.linalg.norm(cq * (k @ w) + r) <= QN_DEFECT_TOL * r_norm)
 
 
 def _bracket_and_golden(objective, f0: float) -> float:
@@ -421,20 +426,13 @@ def solve(problem: Problem, cfg: SolverConfig, u0: fem.FemState | None = None,
           reference_energy: float | None = None) -> SolveReport:
     """Run the nonlinear iteration per the configured method and space."""
     cfg.validate()
-    mesh = problem.mesh
     state = poisson_initial(problem) if u0 is None else u0
 
     records: list[IterationRecord] = []
     ls_mode = cfg.line_search      # a regularized search drops to "plain" for good
 
-    meas = None
-    space = None
-    layers = None
-    if cfg.space == "coarse":
-        meas = grps.build_measurements(mesh)
-        layers = None if cfg.global_basis else (
-            cfg.ell if cfg.ell >= 0 else grps.default_layers(mesh))
-
+    space = None if cfg.space == "fine" else grps.coarse_space(
+        problem.mesh, None if cfg.global_basis else cfg.ell)
     prev_u = None
     converged = False
     reason = "max_iters"
@@ -464,18 +462,17 @@ def solve(problem: Problem, cfg: SolverConfig, u0: fem.FemState | None = None,
                 # the quasi-norm direction assembles its own stiffness
                 op = None if cfg.method == "quasinorm" else problem.operator(
                     state, cfg.method)
-                if cfg.space == "coarse":
-                    # threshold 0 rebuilds every basis: no increment, no indicators
-                    if space is None or cfg.delta_i == 0:
-                        space = grps.compute_basis(op, meas, mesh, layers=layers)
-                        rec.bases_updated = space.n_basis
+                if space is not None:
+                    # n = 0 and threshold 0 rebuild every basis: no indicators
+                    if n == 0 or cfg.delta_i == 0:
+                        sel = np.arange(space.n_basis)
                     else:
                         incr = problem.state(state.u - prev_u)
                         op_incr = problem.operator(incr, cfg.method)
                         ind = grps.update_indicators(op_incr, space)
                         sel = np.flatnonzero(ind >= cfg.delta_i)
-                        space = grps.refresh_basis(space, op, meas, mesh, sel)
-                        rec.bases_updated = int(sel.size)
+                    space = grps.refresh_basis(space, op, sel)
+                    rec.bases_updated = int(sel.size)
                 w, inner_ok = direction(problem, state, cfg, r, op, space)
                 rec.inner_unsolved = not inner_ok
                 if not np.all(np.isfinite(w)):

@@ -72,10 +72,10 @@ def bregman(state_u: FemState, state_v: FemState, coeffs: ElementCoefficients,
     return ju - jv - float(rv @ diff)
 
 
-def interpolate(w: np.ndarray, space, meas: sp.csr_matrix) -> np.ndarray:
+def interpolate(w: np.ndarray, space) -> np.ndarray:
     """w_I = sum_i (int psi_i w) phi_i over free nodes, for a grps.CoarseSpace
-    `space` and the measurement matrix `meas`."""
-    return space.basis.T @ (meas @ w)
+    `space` and its measurement matrix."""
+    return space.basis.T @ (space.meas @ w)
 
 
 def basis_per_row(op: sp.csr_matrix, meas: sp.csr_matrix, indices,

@@ -114,11 +114,10 @@ def test_c04_optimal_recovery():
     rng = np.random.default_rng(RNG_SEED)
     pr = _problem(4, 2, 2.0, coeff.mstrig_eval)
     a = pr.operator(pr.state(), "pgd")
-    meas = grps.build_measurements(pr.mesh)
-    space = grps.compute_basis(a, meas, pr.mesh, layers=None)
+    space = grps.refresh_basis(grps.coarse_space(pr.mesh, None), a, range(32))
     for _ in range(10):
         w = rng.standard_normal(pr.mesh.free_nodes.size)
-        w_i = interpolate(w, space, meas)
+        w_i = interpolate(w, space)
         total = w @ (a @ w)
         split = w_i @ (a @ w_i) + (w - w_i) @ (a @ (w - w_i))
         assert abs(split - total) <= 1e-8 * abs(total)
@@ -128,13 +127,13 @@ def test_c04_optimal_recovery():
 def test_c05_localization_decay():
     pr = _problem(8, 3, 2.0, coeff.mstrig_eval)
     op = pr.operator(pr.state(), "pgd")
-    meas = grps.build_measurements(pr.mesh)
+    global_space = grps.coarse_space(pr.mesh, None)
     for i in (2 * (3 * 8 + 3), 2 * (4 * 8 + 2) + 1):  # two interior bases
-        glob = grps.compute_basis(op, meas, pr.mesh, layers=None, indices=[i])
+        glob = grps.refresh_basis(global_space, op, [i])
         phi = glob.basis[i].toarray().ravel()
         errs = []
         for ell in (1, 2, 3, 4):
-            loc = grps.compute_basis(op, meas, pr.mesh, layers=ell, indices=[i])
+            loc = grps.refresh_basis(grps.coarse_space(pr.mesh, ell), op, [i])
             d = phi - loc.basis[i].toarray().ravel()
             errs.append(math.sqrt(d @ (op @ d)))
         for e_next, e_prev in zip(errs[1:], errs[:-1]):
@@ -151,8 +150,8 @@ def test_c06_coarse_convergence_rate():
         k = fem.weighted_stiffness(m, pr.kappa.values)
         u_fine = sparsela.factorized_spd(k)(b)
         op = pr.operator(pr.state(), "pgd")
-        meas = grps.build_measurements(m)
-        space = grps.compute_basis(op, meas, m, layers=grps.default_layers(m))
+        space = grps.refresh_basis(grps.coarse_space(m, -1), op,
+                                   range(m.n_coarse_triangles))
         u_h = grps.coarse_solve(op, b, space)
         s_h, s_f = pr.state(pr.expand(u_h)), pr.state(pr.expand(u_fine))
         h1s.append(fem.error_norms(s_h, s_f, 2.0)[0])

@@ -110,6 +110,16 @@ def test_main_solver_failure_exit_code(tmp_path):
     assert rc == cli.EXIT_SOLVER
 
 
+def test_solve_first_energy_overflow_exits_4_with_summary(tmp_path):
+    # every energy overflows: this used to end in a plotting traceback
+    # (exit 1) before summary.csv was written
+    rc = main(["solve", "--out", str(tmp_path), "--mesh.nc_x", "2", "--mesh.nc_y", "2",
+               "--mesh.refine", "1", "--nfunc.p", "1000", "--coeff.value", "1e-3"])
+    assert rc == cli.EXIT_SOLVER
+    assert "# reason: energy_nonfinite" in (tmp_path / "summary.csv").read_text()
+    assert not (tmp_path / "energy.svg").exists()
+
+
 def test_solve_p2_writes_two_row_csv(tmp_path):
     rc = main([
         "solve", "--out", str(tmp_path),
@@ -347,6 +357,7 @@ _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
     [*_NC2, "--solver.method", "quasinorm", "--solver.space", "fine",
      "--solver.cq", "inf"],
     [*_NC2, "--nfunc.p", "inf"],
+    [*_NC2, "--nfunc.p", "5", "--solver.tol", "inf"],
     # these ended in a plotting traceback (exit 1): nothing to plot
     [*_NC2, "--f.kind", "constant", "--f.value", "nan"],
     [*_NC2, "--f.kind", "constant", "--f.value", "inf"],
@@ -359,7 +370,7 @@ _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
         "grid_empty_no_dims", "grid_no_dims", "grid_no_cols", "jobs_zero",
         "jobs_negative", "coeff_value_nan", "coeff_value_inf", "contrast_nan",
         "contrast_inf", "lx_nan", "lx_inf", "eps_minus_pow_nan", "eps_plus_nan",
-        "tol_nan", "cq_nan", "cq_inf", "p_inf", "f_value_nan", "f_value_inf",
+        "tol_nan", "cq_nan", "cq_inf", "p_inf", "tol_inf", "f_value_nan", "f_value_inf",
         "reg_study_power", "reg_study_p2"])
 def test_main_bad_value_exit_code(tmp_path, args):
     rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),

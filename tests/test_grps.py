@@ -9,8 +9,8 @@ from quasihom import coeff, fem, grps, nfunc, sparsela
 from quasihom.grps import (
     CoarseSpace,
     build_measurements,
-    compute_basis,
     coarse_solve,
+    coarse_space,
     refresh_basis,
     update_indicators,
 )
@@ -62,22 +62,30 @@ def test_measurement_partition_bound():
     assert np.all(sums <= coarse.areas + 1e-14)
 
 
+@pytest.mark.parametrize("layers, want", [(None, None), (0, 0), (3, 3), (-1, 2)])
+def test_coarse_space_starts_empty_with_its_measurements(layers, want):
+    # a negative radius is the log(1/H) default: 2 on 4 x 4 cells
+    pr = make_problem(4, 2, p=2.0)
+    space = coarse_space(pr.mesh, layers)
+    assert space.mesh is pr.mesh and space.layers == want
+    assert (space.meas != build_measurements(pr.mesh)).nnz == 0
+    assert space.basis.shape == space.meas.shape and space.basis.nnz == 0
+
+
 def test_global_basis_biorthogonal():
     pr = make_problem(2, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
-    space = compute_basis(op, meas, pr.mesh, layers=None)
-    gram = (meas @ space.basis.T).toarray()
-    assert np.allclose(gram, np.eye(meas.shape[0]), atol=1e-8)
+    space = refresh_basis(coarse_space(pr.mesh, None), op, range(8))
+    gram = (space.meas @ space.basis.T).toarray()
+    assert np.allclose(gram, np.eye(8), atol=1e-8)
 
 
 def test_global_basis_matches_dense_kkt():
     pr = make_problem(2, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
-    space = compute_basis(op, meas, pr.mesh, layers=None)
+    space = refresh_basis(coarse_space(pr.mesh, None), op, range(8))
     a = op.toarray()
-    b = meas.toarray()
+    b = space.meas.toarray()
     n, m = a.shape[0], b.shape[0]
     kkt = np.block([[a, b.T], [b, np.zeros((m, m))]])
     for i in range(m):
@@ -91,9 +99,8 @@ def test_localized_support():
     pr = make_problem(4, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
     m = pr.mesh
-    meas = build_measurements(m)
-    space = compute_basis(op, meas, m, layers=1)
-    for i in range(meas.shape[0]):
+    space = refresh_basis(coarse_space(m, 1), op, range(32))
+    for i in range(space.n_basis):
         patch = build_patch(m, i, 1)
         allowed = set(m.free_pos[patch.interior_fine_nodes].tolist())
         support = set(space.basis[i].nonzero()[1].tolist())
@@ -104,11 +111,10 @@ def test_localized_biorthogonal_in_patch():
     pr = make_problem(4, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
     m = pr.mesh
-    meas = build_measurements(m)
-    space = compute_basis(op, meas, m, layers=2)
+    space = refresh_basis(coarse_space(m, 2), op, range(32))
     for i in (0, 13, 25):
         patch = build_patch(m, i, 2)
-        prods = meas @ space.basis[i].T
+        prods = space.meas @ space.basis[i].T
         for j in patch.elements:
             want = 1.0 if j == i else 0.0
             assert prods[j, 0] == pytest.approx(want, abs=1e-8)
@@ -117,31 +123,28 @@ def test_localized_biorthogonal_in_patch():
 def test_interpolate_reproduces_basis():
     pr = make_problem(2, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
-    space = compute_basis(op, meas, pr.mesh, layers=None)
+    space = refresh_basis(coarse_space(pr.mesh, None), op, range(8))
     for k in (0, 3, 7):
         phi = space.basis[k].toarray().ravel()
-        w_i = interpolate(phi, space, meas)
+        w_i = interpolate(phi, space)
         assert np.allclose(w_i, phi, atol=1e-8)
 
 
 def test_interpolate_zero_measurements():
     pr = make_problem(2, 2, p=2.0)
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
-    space = compute_basis(op, meas, pr.mesh, layers=None)
+    space = refresh_basis(coarse_space(pr.mesh, None), op, range(8))
     z = np.zeros(pr.mesh.free_nodes.size)
-    assert np.array_equal(interpolate(z, space, meas), z)
+    assert np.array_equal(interpolate(z, space), z)
 
 
 def test_optimal_recovery_identity(rng):
     pr = make_problem(4, 2, p=2.0, kind="mstrig")
     a = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
-    space = compute_basis(a, meas, pr.mesh, layers=None)
+    space = refresh_basis(coarse_space(pr.mesh, None), a, range(32))
     for _ in range(10):
         w = rng.standard_normal(pr.mesh.free_nodes.size)
-        w_i = interpolate(w, space, meas)
+        w_i = interpolate(w, space)
         total = w @ (a @ w)
         split = w_i @ (a @ w_i) + (w - w_i) @ (a @ (w - w_i))
         assert split == pytest.approx(total, rel=1e-8)
@@ -150,8 +153,7 @@ def test_optimal_recovery_identity(rng):
 def test_coarse_solve_zero_rhs():
     pr = make_problem(2, 2, p=2.0)
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
-    space = compute_basis(op, meas, pr.mesh, layers=None)
+    space = refresh_basis(coarse_space(pr.mesh, None), op, range(8))
     out = coarse_solve(op, np.zeros(pr.mesh.free_nodes.size), space)
     assert np.allclose(out, 0.0, atol=1e-14)
 
@@ -161,7 +163,8 @@ def test_coarse_solve_identity_basis_reproduces_fine(rng):
     pr = make_problem(2, 1, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
     n = pr.mesh.free_nodes.size
-    space = CoarseSpace(basis=sp.eye(n, format="csr"), layers=None)
+    space = CoarseSpace(mesh=None, meas=None, layers=None,
+                        basis=sp.eye(n, format="csr"))
     rhs = rng.standard_normal(n)
     out = coarse_solve(op, rhs, space)
     fine = np.linalg.solve(op.toarray(), rhs)
@@ -171,8 +174,7 @@ def test_coarse_solve_identity_basis_reproduces_fine(rng):
 def test_coarse_stiffness_spd():
     pr = make_problem(4, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
-    space = compute_basis(op, meas, pr.mesh, layers=2)
+    space = refresh_basis(coarse_space(pr.mesh, 2), op, range(32))
     a_c = (space.basis @ op @ space.basis.T).toarray()
     assert np.allclose(a_c, a_c.T, atol=1e-12)
     assert np.linalg.eigvalsh(a_c).min() > 0
@@ -192,8 +194,7 @@ def test_coarse_h1_convergence_rate():
         k = fem.weighted_stiffness(m, kap.values)
         u_fine = sparsela.factorized_spd(k)(b)
         op = pr.operator(pr.state(), "pgd")
-        meas = build_measurements(m)
-        space = compute_basis(op, meas, m, layers=grps.default_layers(m))
+        space = refresh_basis(coarse_space(m, -1), op, range(m.n_coarse_triangles))
         u_h = coarse_solve(op, b, space)
         h1, _ = fem.error_norms(pr.state(pr.expand(u_h)), pr.state(pr.expand(u_fine)), 2.0)
         errs.append(h1)
@@ -233,8 +234,7 @@ def test_update_indicator_zero_increment_secant_floor(rng):
 def test_update_indicators_vectorized(rng):
     pr = make_problem(3, 2, p=5.0, kind="mstrig")
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
-    space = compute_basis(op, meas, pr.mesh, layers=1)
+    space = refresh_basis(coarse_space(pr.mesh, 1), op, range(18))
     incr = random_state(pr, rng)
     op_i = pr.operator(incr, "pgd")
     vec = update_indicators(op_i, space)
@@ -247,20 +247,17 @@ def test_update_indicators_vectorized(rng):
 def test_patch_order_independence():
     pr = make_problem(3, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
-    fwd = compute_basis(op, meas, pr.mesh, layers=2)
-    n = meas.shape[0]
-    bwd = compute_basis(op, meas, pr.mesh, layers=2, indices=list(reversed(range(n))))
+    fwd = refresh_basis(coarse_space(pr.mesh, 2), op, range(18))
+    bwd = refresh_basis(coarse_space(pr.mesh, 2), op, reversed(range(18)))
     assert np.array_equal(fwd.basis.toarray(), bwd.basis.toarray())
 
 
 def test_refresh_keeps_unselected(rng):
     pr = make_problem(3, 2, p=5.0, kind="mstrig")
-    meas = build_measurements(pr.mesh)
     op0 = pr.operator(pr.state(), "pgd")
-    space0 = compute_basis(op0, meas, pr.mesh, layers=2)
+    space0 = refresh_basis(coarse_space(pr.mesh, 2), op0, range(18))
     op1 = pr.operator(random_state(pr, rng), "pgd")
-    space1 = refresh_basis(space0, op1, meas, pr.mesh, indices=[0, 1])
+    space1 = refresh_basis(space0, op1, indices=[0, 1])
     assert np.array_equal(space1.basis[5].toarray(), space0.basis[5].toarray())
     assert not np.array_equal(space1.basis[0].toarray(), space0.basis[0].toarray())
 
@@ -270,7 +267,6 @@ def test_patches_grown_once_per_mesh_and_layer_count(monkeypatch):
     # fetch hands back the very patch the first one grew
     pr = make_problem(3, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
     fetched: dict[tuple, list] = {}
 
     def spy(mesh, i, layers):
@@ -279,9 +275,9 @@ def test_patches_grown_once_per_mesh_and_layer_count(monkeypatch):
         return patch
 
     monkeypatch.setattr(grps, "build_patch", spy)
-    space0 = compute_basis(op, meas, pr.mesh, layers=1)
-    space1 = compute_basis(op, meas, pr.mesh, layers=1)
-    assert sorted(fetched) == [(i, 1) for i in range(meas.shape[0])]
+    space0 = refresh_basis(coarse_space(pr.mesh, 1), op, range(18))
+    space1 = refresh_basis(coarse_space(pr.mesh, 1), op, range(18))
+    assert sorted(fetched) == [(i, 1) for i in range(18)]
     assert all(len(ps) == 2 and ps[1] is ps[0] for ps in fetched.values())
     assert np.array_equal(space1.basis.toarray(), space0.basis.toarray())
 
@@ -292,38 +288,39 @@ def test_degenerate_single_refinement_raises(kkt_calls):
     # solved, and the error names the global build
     pr = make_problem(2, 1, p=2.0)
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
+    space = coarse_space(pr.mesh, None)
     calls = kkt_calls()
     with pytest.raises(sparsela.RankDeficiencyError, match="global basis build: singular"):
-        compute_basis(op, meas, pr.mesh, layers=None)
+        refresh_basis(space, op, range(8))
     assert calls.solves == []
 
 
 def test_global_bases_bitwise_equal_to_per_basis_factorizations(rng):
     pr = make_problem(2, 2, p=5.0, kind="mstrig")
-    meas = build_measurements(pr.mesh)
     op0 = pr.operator(pr.state(), "pgd")
-    space0 = compute_basis(op0, meas, pr.mesh, layers=None)
-    assert np.array_equal(space0.basis.toarray(),
-                          basis_per_row(op0, meas, range(meas.shape[0])))
+    space0 = refresh_basis(coarse_space(pr.mesh, None), op0, range(8))
+    meas = space0.meas
+    assert np.array_equal(space0.basis.toarray(), basis_per_row(op0, meas, range(8)))
     op1 = pr.operator(random_state(pr, rng), "newton")
     sel = [6, 1, 3]
-    space1 = refresh_basis(space0, op1, meas, pr.mesh, sel)
+    space1 = refresh_basis(space0, op1, sel)
     dense = space1.basis.toarray()
     assert np.array_equal(dense[sel], basis_per_row(op1, meas, sel))
-    kept = np.setdiff1d(np.arange(meas.shape[0]), sel)
+    kept = np.setdiff1d(np.arange(8), sel)
     assert np.array_equal(dense[kept], space0.basis.toarray()[kept])
 
 
 @pytest.mark.parametrize("indices", [None, [5, 0], []])
 def test_global_build_factors_once(indices, kkt_calls):
+    # None: every basis
     pr = make_problem(2, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
+    indices = range(8) if indices is None else indices
+    space = coarse_space(pr.mesh, None)
     calls = kkt_calls()
-    compute_basis(op, meas, pr.mesh, layers=None, indices=indices)
+    refresh_basis(space, op, indices)
     factors, solves = calls.factors, calls.solves
-    n = meas.shape[0] if indices is None else len(indices)
+    n = len(indices)
     assert len(factors) == (1 if n else 0)
     assert len(solves) == n
     assert all(factor is solves[0][0] for factor, _ in solves)
@@ -338,13 +335,13 @@ def test_saddle_solves_are_sized_like_the_tracer_sizes_them(kkt_calls):
     assert fn.__module__ == "quasihom.sparsela"
     pr = make_problem(3, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
+    global_space, local_space = coarse_space(pr.mesh, None), coarse_space(pr.mesh, 1)
     calls = kkt_calls()
-    compute_basis(op, meas, pr.mesh, layers=None, indices=[4, 1])
+    refresh_basis(global_space, op, [4, 1])
     patch = build_patch(pr.mesh, 7, 1)
-    compute_basis(op, meas, pr.mesh, layers=1, indices=[7])
+    refresh_basis(local_space, op, [7])
     sizes = [first.a.shape[0] + first.b.shape[0] for first, *_ in calls.solves]
-    assert sizes == [op.shape[0] + meas.shape[0]] * 2 + [
+    assert sizes == [op.shape[0] + global_space.n_basis] * 2 + [
         patch.interior_fine_nodes.size + patch.elements.size]
 
 
@@ -352,10 +349,10 @@ def test_global_build_inaccurate_solve_raises(perturb_splu):
     # every basis keeps its backward-error check against the shared factor
     pr = make_problem(2, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
+    space = coarse_space(pr.mesh, None)
     perturb_splu()
     with pytest.raises(sparsela.RankDeficiencyError, match=r"basis 0 \(layers=None\)") as info:
-        compute_basis(op, meas, pr.mesh, layers=None)
+        refresh_basis(space, op, range(8))
     assert isinstance(info.value.__cause__, sparsela.ConvergenceError)
 
 
@@ -370,29 +367,29 @@ def _shared_patch_groups(mesh, layers):
 def test_localized_bases_on_one_patch_share_a_factorization(rng, kkt_calls):
     # 4 x 4 cells, 2 layers: 32 bases on 24 distinct patches
     pr = make_problem(4, 2, p=5.0, kind="mstrig")
-    meas = build_measurements(pr.mesh)
+    space = coarse_space(pr.mesh, 2)
     op0 = pr.operator(random_state(pr, rng), "newton")
     assert len(_shared_patch_groups(pr.mesh, 2)) == 24
     calls = kkt_calls()
-    space0 = compute_basis(op0, meas, pr.mesh, layers=2)
+    space0 = refresh_basis(space, op0, range(32))
     assert len(calls.factors) == 24
     assert len(calls.solves) == 32
     assert np.array_equal(space0.basis.toarray(),
-                          basis_per_row(op0, meas, range(32), pr.mesh, 2))
+                          basis_per_row(op0, space.meas, range(32), pr.mesh, 2))
 
 
 def test_refresh_of_one_shared_basis_rebuilds_only_its_row(rng, kkt_calls):
     pr = make_problem(4, 2, p=5.0, kind="mstrig")
-    meas = build_measurements(pr.mesh)
-    space0 = compute_basis(pr.operator(pr.state(), "pgd"), meas, pr.mesh, layers=2)
+    space0 = refresh_basis(coarse_space(pr.mesh, 2), pr.operator(pr.state(), "pgd"),
+                           range(32))
     i, j = next(g for g in _shared_patch_groups(pr.mesh, 2) if len(g) > 1)[:2]
     op1 = pr.operator(random_state(pr, rng), "newton")
     calls = kkt_calls()
-    space1 = refresh_basis(space0, op1, meas, pr.mesh, [i])
+    space1 = refresh_basis(space0, op1, [i])
     assert (len(calls.factors), len(calls.solves)) == (1, 1)
     dense, dense0 = space1.basis.toarray(), space0.basis.toarray()
-    assert np.array_equal(dense[i], basis_per_row(op1, meas, [i], pr.mesh, 2)[0])
-    kept = np.arange(meas.shape[0]) != i
+    assert np.array_equal(dense[i], basis_per_row(op1, space0.meas, [i], pr.mesh, 2)[0])
+    kept = np.arange(32) != i
     assert np.array_equal(dense[kept], dense0[kept])
     assert not np.array_equal(dense[i], dense0[i])
     assert np.array_equal(dense[j], dense0[j])
@@ -402,26 +399,24 @@ def test_singular_shared_patch_kkt_names_its_bases():
     # an operator of stored zeros makes the patch KKT matrix singular; the
     # one factorization of the shared patch fails and names both bases
     pr = make_problem(4, 2, p=2.0, kind="mstrig")
-    meas = build_measurements(pr.mesh)
     group = next(g for g in _shared_patch_groups(pr.mesh, 2) if len(g) > 1)
     op = _p2_operator(pr)
     op.data[:] = 0.0
     with pytest.raises(sparsela.RankDeficiencyError,
                        match=rf"bases \[{group[0]}, {group[1]}\] \(layers=2\): singular"):
-        compute_basis(op, meas, pr.mesh, layers=2, indices=group[:2])
+        refresh_basis(coarse_space(pr.mesh, 2), op, group[:2])
 
 
 def test_structurally_singular_patch_kkt_never_reaches_splu(monkeypatch):
     # an operator that stores no entries makes the patch KKT matrix
     # structurally singular; SuperLU used to crash the process on it
     pr = make_problem(4, 2, p=2.0, kind="mstrig")
-    meas = build_measurements(pr.mesh)
     op = _p2_operator(pr)
     monkeypatch.setattr(sparsela.spla, "splu",
                         lambda *args, **kwargs: pytest.fail("splu reached"))
     with pytest.raises(sparsela.RankDeficiencyError,
                        match=r"\(layers=2\): singular KKT system: structural rank"):
-        compute_basis(sp.csr_matrix(op.shape), meas, pr.mesh, layers=2, indices=[2, 5])
+        refresh_basis(coarse_space(pr.mesh, 2), sp.csr_matrix(op.shape), [2, 5])
 
 
 @pytest.mark.parametrize("indices, match", [
@@ -436,14 +431,13 @@ def test_refresh_rejects_bad_indices_before_building(indices, match, monkeypatch
     # after every factorization
     pr = make_problem(3, 2, p=2.0, kind="mstrig")
     op = _p2_operator(pr)
-    meas = build_measurements(pr.mesh)
-    empty = CoarseSpace(sp.csr_matrix((meas.shape[0], op.shape[0])), 2)
+    empty = coarse_space(pr.mesh, 2)
     patches = []
     monkeypatch.setattr(grps, "build_patch",
                         lambda *a: patches.append(a) or build_patch(*a))
     calls = kkt_calls()
     with pytest.raises(ValueError, match=match):
-        refresh_basis(empty, op, meas, pr.mesh, indices)
+        refresh_basis(empty, op, indices)
     assert patches == [] and calls.factors == []
 
 
@@ -451,8 +445,7 @@ def test_blocked_galerkin_matrix_matches_dense():
     # 72 global bases: one full block of 64 and a partial one of 8
     pr = make_problem(6, 2, p=5.0, kind="mstrig")
     op = pr.operator(pr.state(), "newton")
-    meas = build_measurements(pr.mesh)
-    space = compute_basis(op, meas, pr.mesh, layers=None)
+    space = refresh_basis(coarse_space(pr.mesh, None), op, range(72))
     assert grps.COARSE_BLOCK < space.n_basis < 2 * grps.COARSE_BLOCK
     r = space.basis.toarray()
     dense = r @ op.toarray() @ r.T
@@ -468,7 +461,7 @@ def test_coarse_solve_never_densifies_the_whole_basis():
                   [-1, 0, 1], format="csr")
     r = sp.random(n_basis, n, density=0.005, format="csr",
                   rng=np.random.default_rng(3))
-    space = CoarseSpace(basis=r, layers=None)
+    space = CoarseSpace(mesh=None, meas=None, layers=None, basis=r)
     rhs = np.ones(n)
     full = n * n_basis * 8
     tracemalloc.start()

@@ -76,7 +76,7 @@ def test_direction_solves_in_its_space(monkeypatch, method):
     st = solvers.poisson_initial(pr)
     r = pr.residual(st)
     op = pr.operator(st, method)
-    space = grps.compute_basis(op, grps.build_measurements(pr.mesh), pr.mesh, layers=2)
+    space = grps.refresh_basis(grps.coarse_space(pr.mesh, 2), op, range(32))
     monkeypatch.setattr(pr, "operator", lambda *args: pytest.fail("operator assembled"))
     cfg = SolverConfig(method=method)
     w, ok = solvers.direction(pr, st, cfg, r, op, None)
@@ -139,6 +139,48 @@ def test_quasinorm_ok_implies_defining_relation(monkeypatch, seed):
     if ok:
         assert defect <= 1e-8
     assert ok or seed != 0       # seed 0 meets the relation to 4.4e-11
+
+
+def _count_stiffness_and_factors(monkeypatch):
+    counts = {"stiffness": 0, "factors": 0}
+    stiffness, factorized = fem.weighted_stiffness, sparsela.factorized_spd
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(fem, "weighted_stiffness", counted("stiffness", stiffness))
+    monkeypatch.setattr(sparsela, "factorized_spd", counted("factors", factorized))
+    return counts
+
+
+def test_quasinorm_defect_check_reuses_the_last_stiffness(monkeypatch):
+    # the check used to assemble K(w) once more after every inner loop; it
+    # now does so only where w moved after the last pass assembled K
+    pr = make_problem(3, 2, p=2.0, kind="mstrig")
+    st = pr.state()
+    counts = _count_stiffness_and_factors(monkeypatch)
+    _, ok = solvers.direction(pr, st, SolverConfig(method="quasinorm"),
+                              pr.residual(st), None, None)
+    # p = 2: one exact step, then a pass whose first test stops the loop
+    assert ok and counts == {"stiffness": 2, "factors": 2}
+
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    direction = solvers.direction
+    extra = []
+
+    def spy(*args):
+        before = dict(counts)
+        out = direction(*args)
+        extra.append((counts["stiffness"] - before["stiffness"])
+                      - (counts["factors"] - before["factors"]))
+        return out
+
+    monkeypatch.setattr(solvers, "direction", spy)
+    solvers.solve(pr, SolverConfig(method="quasinorm", max_iters=30))
+    assert set(extra) == {0, 1}
 
 
 def test_line_search_quadratic_full_step():
@@ -216,8 +258,7 @@ def test_regularized_alpha_smaller_on_coarse_direction():
     st = solvers.poisson_initial(pr)
     r = pr.residual(st)
     op = pr.operator(st, "newton")
-    meas = grps.build_measurements(pr.mesh)
-    space = grps.compute_basis(op, meas, pr.mesh, layers=grps.default_layers(pr.mesh))
+    space = grps.refresh_basis(grps.coarse_space(pr.mesh, -1), op, range(128))
     w = grps.coarse_solve(op, -r, space)
     a_plain, _, _ = solvers.line_search(pr, st, w, "plain", r)
     a_reg, _, lam = solvers.line_search(pr, st, w, "residual_regularized", r)
@@ -389,7 +430,8 @@ def test_solve_coarse_sparse_zero_threshold_bitwise():
 
 def test_solve_coarse_zero_threshold_skips_indicators(monkeypatch):
     # threshold 0 rebuilds every basis from the one linearized operator of
-    # each iteration: no increment operator, no indicator pass
+    # each iteration, and so does the first iteration at any threshold: no
+    # increment operator, no indicator pass
     from quasihom import grps
     pr = make_problem(4, 2, p=5.0, kind="mstrig")
     monkeypatch.setattr(grps, "update_indicators",
@@ -398,11 +440,15 @@ def test_solve_coarse_zero_threshold_skips_indicators(monkeypatch):
     operator = pr.operator
     monkeypatch.setattr(pr, "operator",
                         lambda *args: assembled.append(1) or operator(*args))
-    rep = solvers.solve(pr, SolverConfig(method="newton", space="coarse", max_iters=4,
-                                         line_search="plain"))
-    iters = len(rep.records) - 1
-    assert iters == 4
-    assert len(assembled) == iters
+    for delta_i, max_iters in ((0.0, 4), (1e-3, 1)):
+        assembled.clear()
+        rep = solvers.solve(pr, SolverConfig(method="newton", space="coarse",
+                                             line_search="plain", max_iters=max_iters,
+                                             delta_i=delta_i))
+        iters = len(rep.records) - 1
+        assert iters == max_iters
+        assert len(assembled) == iters
+        assert all(r.bases_updated == 32 for r in rep.records[:-1])
 
 
 def test_solve_coarse_sparse_positive_threshold_skips(rng):
