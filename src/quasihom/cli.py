@@ -41,6 +41,8 @@ def _list_of(conv):
         out = [conv(tok.strip()) for tok in str(s).split(",") if tok.strip()]
         if not out:
             raise ValueError("empty list")
+        if len(set(out)) < len(out):
+            raise ValueError("repeated entries")
         return out
     return parse
 
@@ -144,8 +146,11 @@ def build_nfunction(cfg: dict) -> nfunc.NFunction:
     p = cfg["nfunc.p"]
     if kind == "power":
         return nfunc.NFunction("power", p)
-    return nfunc.NFunction.from_eps_pow(kind, p, cfg["nfunc.eps_minus_pow"],
-                                        cfg["nfunc.eps_plus"])
+    nf = nfunc.NFunction.from_eps_pow(kind, p, cfg["nfunc.eps_minus_pow"],
+                                      cfg["nfunc.eps_plus"])
+    if p != 2 and nf.eps_minus >= 1:   # else every |grad u| < 1 takes the lower piece
+        raise ConfigError(f"nfunc.eps_minus_pow gives eps_minus = {nf.eps_minus!r} >= 1")
+    return nf
 
 
 def build_source(cfg: dict, mesh) -> np.ndarray:
@@ -569,7 +574,10 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config, overrides)
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from exc
         t0 = time.time()
         _RUNNERS[args.experiment](cfg, args.out, args.jobs)
     except ConfigError as exc:

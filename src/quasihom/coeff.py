@@ -155,6 +155,6 @@ class ElementCoefficients:
 
 def sample_on_mesh(field, mesh: Mesh) -> ElementCoefficients:
     """One value per fine triangle: field(x, y) at the barycenter."""
-    bary = mesh.geometry()[3]
+    bary = mesh.geometry[3]
     vals = np.asarray(field(bary[:, 0], bary[:, 1]), dtype=float)
     return ElementCoefficients(values=vals)

@@ -4,9 +4,9 @@ operators and discrete norms.
 Flux-side integrals are exact per element (both grad(u) and kappa are
 element constants); the load pairs vertex-interpolated f through the
 consistent mass matrix. Every operator over the free nodes goes through one
-kernel: a per-mesh plan fixes the free-free CSR pattern and the slot of each
-element-block entry, so an assembly is one ``np.bincount`` over those slots.
-Element gradients come from a second per-mesh matrix, the gradient operator:
+kernel: the mesh's ``assembly_plan`` fixes the free-free CSR pattern and the
+slot of each element-block entry, so an assembly is one ``np.bincount`` over
+those slots. Element gradients come from the mesh's ``gradient_operator``:
 rows 2t and 2t + 1 hold the x and y hat gradients of triangle t in its
 vertex order, so ``G @ u`` sums each component in the order of the plain
 per-element gather and gives the same values. The first variation scatters
@@ -52,7 +52,7 @@ class FemState:
     def grads(self) -> np.ndarray:
         """(nt, 2) array of element gradients of u."""
         if self._grads is None:
-            self._grads = (_gradient_operator(self.mesh) @ self.u).reshape(-1, 2)
+            self._grads = (self.mesh.gradient_operator @ self.u).reshape(-1, 2)
         return self._grads
 
     def grad_norms(self) -> np.ndarray:
@@ -85,42 +85,9 @@ def assemble_mass(mesh: Mesh) -> sp.csr_matrix:
     return m.tocsr()
 
 
-def _assembly_plan(mesh: Mesh):
-    """Free-free CSR pattern and the CSR slot of each of the 9 * n_t
-    element-block entries; entries touching the boundary go to slot nnz."""
-    if "asm_plan" not in mesh._cache:
-        t = mesh.triangles
-        pos = mesh.free_pos
-        rows = pos[np.repeat(t, 3, axis=1).reshape(-1)]
-        cols = pos[np.tile(t, (1, 3)).reshape(-1)]
-        keep = (rows >= 0) & (cols >= 0)
-        n = mesh.free_nodes.size
-        keys, inv = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
-        slots = np.full(rows.size, keys.size, dtype=np.int64)
-        slots[keep] = inv
-        mesh._cache["asm_plan"] = (indptr, keys % n, slots)
-    return mesh._cache["asm_plan"]
-
-
-def _gradient_operator(mesh: Mesh) -> sp.csr_matrix:
-    """(2 n_t, n_v) CSR matrix taking nodal values to interleaved element
-    gradients; each row keeps its triangle's vertex order (unsorted indices)."""
-    if "grad_op" not in mesh._cache:
-        _, gx, gy, _ = mesh.geometry()
-        nt = mesh.n_triangles
-        data = np.stack([gx, gy], axis=1).reshape(-1)
-        indices = np.repeat(mesh.triangles, 2, axis=0).reshape(-1)
-        indptr = np.arange(0, 6 * nt + 1, 3)
-        mesh._cache["grad_op"] = sp.csr_matrix(
-            (data, indices, indptr), shape=(2 * nt, mesh.n_vertices))
-    return mesh._cache["grad_op"]
-
-
 def _assemble(mesh: Mesh, blocks: np.ndarray) -> sp.csr_matrix:
     """Sum per-element 3x3 blocks into the matrix over free nodes."""
-    indptr, indices, slots = _assembly_plan(mesh)
+    indptr, indices, slots = mesh.assembly_plan
     data = np.bincount(slots, weights=blocks.reshape(-1),
                        minlength=indices.size + 1)[:-1]
     n = indptr.size - 1
@@ -130,7 +97,7 @@ def _assemble(mesh: Mesh, blocks: np.ndarray) -> sp.csr_matrix:
 
 def _stiffness_blocks(mesh: Mesh, w: np.ndarray) -> np.ndarray:
     """w_T * (grad lambda_i . grad lambda_j) per element, shape (nt, 3, 3)."""
-    _, gx, gy, _ = mesh.geometry()
+    _, gx, gy, _ = mesh.geometry
     return w[:, None, None] * (
         gx[:, :, None] * gx[:, None, :] + gy[:, :, None] * gy[:, None, :]
     )
@@ -156,7 +123,7 @@ def residual(state: FemState, coeffs: ElementCoefficients, nf: nfunc.NFunction,
     w = mesh.areas * coeffs.values * nfunc.eval_secant(nf, state.grad_norms())
     # node j gets sum_t w_t (grad u . grad lambda_j)_t: the transposed gradient
     # operator applied to the weighted element gradients
-    r = _gradient_operator(mesh).T @ (w[:, None] * state.grads()).reshape(-1)
+    r = mesh.gradient_operator.T @ (w[:, None] * state.grads()).reshape(-1)
     return (r - load)[mesh.free_nodes]
 
 
@@ -171,7 +138,7 @@ def assemble_linearized(state: FemState, coeffs: ElementCoefficients,
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     mesh = state.mesh
-    areas, gx, gy, _ = mesh.geometry()
+    areas, gx, gy, _ = mesh.geometry
 
     if mode == "gd":
         blocks = _stiffness_blocks(mesh, areas)

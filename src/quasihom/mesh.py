@@ -10,6 +10,7 @@ row-major at every level and fine/coarse parent relations are arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,6 +23,8 @@ class Mesh:
     vertices: (nv, 2) coordinates. triangles: (nt, 3) CCW vertex indices.
     boundary_nodes: sorted indices of nodes on the region boundary.
     parent: per-triangle index of the level-0 coarse triangle containing it.
+    Derived arrays are cached properties, computed at first access; patches
+    holds each patch that `build_patch` grows, by (i, layers).
     """
 
     vertices: np.ndarray
@@ -33,7 +36,7 @@ class Mesh:
     ly: float | None = None
     ncx: int | None = None
     ncy: int | None = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    patches: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -53,29 +56,24 @@ class Mesh:
             raise ValueError("unstructured mesh has no coarse structure")
         return 2 * self.ncx * self.ncy
 
-    @property
+    @cached_property
     def boundary_mask(self) -> np.ndarray:
-        if "bmask" not in self._cache:
-            m = np.zeros(self.n_vertices, dtype=bool)
-            m[self.boundary_nodes] = True
-            self._cache["bmask"] = m
-        return self._cache["bmask"]
+        m = np.zeros(self.n_vertices, dtype=bool)
+        m[self.boundary_nodes] = True
+        return m
 
-    @property
+    @cached_property
     def free_nodes(self) -> np.ndarray:
-        if "free" not in self._cache:
-            self._cache["free"] = np.flatnonzero(~self.boundary_mask)
-        return self._cache["free"]
+        return np.flatnonzero(~self.boundary_mask)
 
-    @property
+    @cached_property
     def free_pos(self) -> np.ndarray:
         """Position of each global node in the free-node list, -1 on boundary."""
-        if "fpos" not in self._cache:
-            pos = np.full(self.n_vertices, -1, dtype=np.int64)
-            pos[self.free_nodes] = np.arange(self.free_nodes.size)
-            self._cache["fpos"] = pos
-        return self._cache["fpos"]
+        pos = np.full(self.n_vertices, -1, dtype=np.int64)
+        pos[self.free_nodes] = np.arange(self.free_nodes.size)
+        return pos
 
+    @cached_property
     def geometry(self):
         """Per-triangle areas, hat gradients and barycenters.
 
@@ -83,33 +81,63 @@ class Mesh:
         of the gradient of the hat function of local vertex i on triangle t
         (constant on the triangle).
         """
-        if "geom" not in self._cache:
-            t = self.triangles
-            x = self.vertices[t, 0]
-            y = self.vertices[t, 1]
-            area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (
-                x[:, 2] - x[:, 0]
-            ) * (y[:, 1] - y[:, 0])
-            if np.any(area2 <= 0):
-                raise ValueError("mesh contains non-CCW or degenerate triangles")
-            nxt = [1, 2, 0]
-            prv = [2, 0, 1]
-            gx = (y[:, nxt] - y[:, prv]) / area2[:, None]
-            gy = (x[:, prv] - x[:, nxt]) / area2[:, None]
-            bary = np.stack([x.mean(axis=1), y.mean(axis=1)], axis=1)
-            self._cache["geom"] = (0.5 * area2, gx, gy, bary)
-        return self._cache["geom"]
+        t = self.triangles
+        x = self.vertices[t, 0]
+        y = self.vertices[t, 1]
+        area2 = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (
+            x[:, 2] - x[:, 0]
+        ) * (y[:, 1] - y[:, 0])
+        if np.any(area2 <= 0):
+            raise ValueError("mesh contains non-CCW or degenerate triangles")
+        nxt = [1, 2, 0]
+        prv = [2, 0, 1]
+        gx = (y[:, nxt] - y[:, prv]) / area2[:, None]
+        gy = (x[:, prv] - x[:, nxt]) / area2[:, None]
+        bary = np.stack([x.mean(axis=1), y.mean(axis=1)], axis=1)
+        return 0.5 * area2, gx, gy, bary
 
     @property
     def areas(self) -> np.ndarray:
-        return self.geometry()[0]
+        return self.geometry[0]
 
+    @cached_property
     def node_to_triangle_count(self) -> np.ndarray:
-        if "ntc" not in self._cache:
-            self._cache["ntc"] = np.bincount(
-                self.triangles.ravel(), minlength=self.n_vertices
-            )
-        return self._cache["ntc"]
+        return np.bincount(self.triangles.ravel(), minlength=self.n_vertices)
+
+    @cached_property
+    def coarse_incidence(self) -> sp.csr_matrix:
+        """Coarse triangle-vertex incidence of the level-0 grid."""
+        tris = _structured(self.ncx, self.ncy, self.lx, self.ly, 0).triangles
+        return sp.csr_matrix((np.ones(tris.size, dtype=np.int64),
+                              (np.repeat(np.arange(len(tris)), 3), tris.ravel())))
+
+    @cached_property
+    def assembly_plan(self):
+        """Free-free CSR pattern and the CSR slot of each of the 9 * n_t
+        element-block entries; entries touching the boundary go to slot nnz."""
+        t = self.triangles
+        pos = self.free_pos
+        rows = pos[np.repeat(t, 3, axis=1).reshape(-1)]
+        cols = pos[np.tile(t, (1, 3)).reshape(-1)]
+        keep = (rows >= 0) & (cols >= 0)
+        n = self.free_nodes.size
+        keys, inv = np.unique(rows[keep] * n + cols[keep], return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+        slots = np.full(rows.size, keys.size, dtype=np.int64)
+        slots[keep] = inv
+        return indptr, keys % n, slots
+
+    @cached_property
+    def gradient_operator(self) -> sp.csr_matrix:
+        """(2 n_t, n_v) CSR matrix taking nodal values to interleaved element
+        gradients; each row keeps its triangle's vertex order (unsorted indices)."""
+        _, gx, gy, _ = self.geometry
+        nt = self.n_triangles
+        data = np.stack([gx, gy], axis=1).reshape(-1)
+        indices = np.repeat(self.triangles, 2, axis=0).reshape(-1)
+        indptr = np.arange(0, 6 * nt + 1, 3)
+        return sp.csr_matrix((data, indices, indptr), shape=(2 * nt, self.n_vertices))
 
 
 @dataclass
@@ -195,16 +223,11 @@ def build_patch(mesh: Mesh, i: int, layers: int) -> Patch:
         raise IndexError(f"coarse element {i} out of range [0, {n_coarse})")
     if layers < 0:
         raise ValueError("layers must be >= 0")
-    key = ("patch", int(i), layers)
-    if key in mesh._cache:
-        return mesh._cache[key]
+    key = (int(i), layers)
+    if key in mesh.patches:
+        return mesh.patches[key]
 
-    inc = mesh._cache.get("coarse_inc")   # coarse triangle-vertex incidence
-    if inc is None:
-        tris = _structured(mesh.ncx, mesh.ncy, mesh.lx, mesh.ly, 0).triangles
-        inc = mesh._cache["coarse_inc"] = sp.csr_matrix(
-            (np.ones(tris.size, dtype=np.int64),
-             (np.repeat(np.arange(n_coarse), 3), tris.ravel())))
+    inc = mesh.coarse_incidence
     in_patch = np.zeros(n_coarse, dtype=bool)
     in_patch[i] = True
     for _ in range(layers):
@@ -217,8 +240,8 @@ def build_patch(mesh: Mesh, i: int, layers: int) -> Patch:
 
     sub_tris = mesh.triangles[in_patch[mesh.parent]]
     in_count = np.bincount(sub_tris.ravel(), minlength=mesh.n_vertices)
-    total = mesh.node_to_triangle_count()
+    total = mesh.node_to_triangle_count
     interior = np.flatnonzero((in_count == total) & (in_count > 0) & ~mesh.boundary_mask)
     # one assignment of a finished patch: threads sharing the mesh see it whole
-    mesh._cache[key] = patch = Patch(elements=elements, interior_fine_nodes=interior)
+    mesh.patches[key] = patch = Patch(elements=elements, interior_fine_nodes=interior)
     return patch

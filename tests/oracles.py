@@ -46,7 +46,7 @@ def eval_shifted(nf: nfunc.NFunction, a: float, t: float) -> tuple[float, float]
 def element_gradients(mesh, u: np.ndarray) -> np.ndarray:
     """(nt, 2) element gradients of u, gathered per element and summed over
     its three vertices in vertex order."""
-    _, gx, gy, _ = mesh.geometry()
+    _, gx, gy, _ = mesh.geometry
     ut = u[mesh.triangles]
     return np.stack([(gx * ut).sum(axis=1), (gy * ut).sum(axis=1)], axis=1)
 

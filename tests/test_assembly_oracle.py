@@ -108,11 +108,11 @@ def test_gradient_operator_unchanged_by_solve():
     mesh = pr.mesh
     u = _free_values(mesh, 3)
     fem.FemState(mesh, u).grads()
-    op = fem._gradient_operator(mesh)
+    op = mesh.gradient_operator
     before = (op.data.copy(), op.indices.copy(), op.indptr.copy())
     rep = solvers.solve(pr, solvers.SolverConfig(max_iters=5))
     assert len(rep.records) > 1
-    assert fem._gradient_operator(mesh) is op
+    assert mesh.gradient_operator is op
     for a, b in zip(before, (op.data, op.indices, op.indptr)):
         assert np.array_equal(a, b)
     assert np.array_equal(_bits(fem.FemState(mesh, u).grads()),

@@ -363,6 +363,14 @@ _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
     [*_NC2, "--f.kind", "constant", "--f.value", "inf"],
     ["regularization-study", "--nfunc.kind", "power"],
     ["regularization-study", "--nfunc.p", "2"],
+    # eps_minus at or above 1 puts every element on the quadratic lower
+    # piece; these went through with exit 0 and converged = 1
+    [*_NC2, "--nfunc.p", "1.5"],
+    [*_NC2, "--nfunc.p", "5", "--nfunc.eps_minus_pow", "1"],
+    # repeated entries solved twice into one run directory or summary column
+    ["homogenization-error", "--hom.nc_list", "2,2"],
+    ["compare-methods", "--compare.methods", "gd,gd,newton"],
+    ["regularization-study", "--reg.eps_list", "1e-2,0.01"],
 ], ids=["delta_i", "delta_i_full", "delta_i_negative", "delta_i_nan",
         "delta_list_zero", "delta_list_duplicate_tag", "nfunc_p", "nc_list",
         "inner_cap_removed", "cq", "max_iters", "fine_n_below_nc", "fine_n_zero", "nc_zero",
@@ -371,11 +379,21 @@ _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
         "jobs_negative", "coeff_value_nan", "coeff_value_inf", "contrast_nan",
         "contrast_inf", "lx_nan", "lx_inf", "eps_minus_pow_nan", "eps_plus_nan",
         "tol_nan", "cq_nan", "cq_inf", "p_inf", "tol_inf", "f_value_nan", "f_value_inf",
-        "reg_study_power", "reg_study_p2"])
+        "reg_study_power", "reg_study_p2", "p_below_2_default_floor",
+        "eps_minus_pow_one", "nc_list_repeated", "methods_repeated",
+        "eps_list_repeated"])
 def test_main_bad_value_exit_code(tmp_path, args):
     rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),
                "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])
+def test_main_out_not_a_directory_exit_code(tmp_path, sub):
+    # these ended in a FileExistsError or NotADirectoryError traceback (exit 1)
+    path = tmp_path / "file"
+    path.write_text("")
+    assert main([*_NC2, "--out", str(path / sub)]) == cli.EXIT_CONFIG
 
 
 def test_import_loads_no_scipy_integrate_or_optimize():

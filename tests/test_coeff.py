@@ -114,7 +114,7 @@ def test_sample_constant():
 def test_sample_mstrig_matches_direct_scan():
     mesh = refine(build_coarse_mesh(4, 4), 3)
     ec = sample_on_mesh(coeff.mstrig_eval, mesh)
-    bary = mesh.geometry()[3]
+    bary = mesh.geometry[3]
     direct = mstrig_eval(bary[:, 0], bary[:, 1])
     assert np.array_equal(ec.values, direct)
 

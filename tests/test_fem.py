@@ -1,12 +1,14 @@
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from quasihom import coeff, fem, nfunc, sparsela
 from quasihom.fem import FemState
-from quasihom.mesh import Mesh, build_coarse_mesh, refine
+from quasihom.mesh import Mesh, build_coarse_mesh, build_patch, refine
 
-from conftest import make_problem, random_state
+from conftest import make_mesh, make_problem, random_state
 from oracles import bregman, quasi_norm
 
 
@@ -160,7 +162,7 @@ def test_newton_element_matrix_constant_gradient():
     u = np.array([0.0, 1.0, 0.0])  # grad = (1, 0)
     st = FemState(m, u)
     op = fem.assemble_linearized(st, kap, nf, "newton")
-    _, gx, gy, _ = m.geometry()
+    _, gx, gy, _ = m.geometry
     area = m.areas[0]
     g = np.stack([gx[0], gy[0]], axis=0)
     expected = area * (g.T @ g) + 2.0 * area * np.outer(gx[0], gx[0])
@@ -287,7 +289,7 @@ def test_error_norms_single_hat_closed_form():
     u[node] = 1.0
     st = FemState(m, u)
     z = FemState(m)
-    _, gx, gy, _ = m.geometry()
+    _, gx, gy, _ = m.geometry
     touching = np.nonzero((m.triangles == node).any(axis=1))[0]
     acc2 = acc4 = 0.0
     for t in touching:
@@ -309,3 +311,35 @@ def test_operator_spd_under_reg_defaults(rng):
             eigs = np.linalg.eigvalsh(a)
             assert eigs.min() > 0
 
+
+def _first_mesh_uses(mesh):
+    w = np.linspace(1.0, 2.0, mesh.n_triangles)
+    u = np.sin(3.0 * mesh.vertices[:, 0]) * mesh.vertices[:, 1]
+    k = fem.weighted_stiffness(mesh, w)
+    grads = FemState(mesh, u).grads()
+    patch = build_patch(mesh, 0, 2)
+    return [k.data, k.indices, k.indptr, grads, patch.elements, patch.interior_fine_nodes]
+
+
+def test_threads_sharing_a_fresh_mesh_match_a_serial_run():
+    # the threads make the mesh's first accesses at once; from Python 3.12 a
+    # cached property may then be computed twice, so only the values are checked
+    expected = _first_mesh_uses(make_mesh(4, 2))
+    mesh = make_mesh(4, 2)
+    barrier = threading.Barrier(4, timeout=60)
+    results = [None] * 4
+
+    def run(k):
+        barrier.wait()
+        results[k] = _first_mesh_uses(mesh)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for got in results:
+        assert got is not None
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
