@@ -460,15 +460,20 @@ def run_homogenization_error(cfg: dict, out: str, jobs: int) -> None:
                 f"hom.fine_n={fine_n} is not a power-of-two refinement of nc={nc}"
             )
 
-    def one(nc: int):
+    def problem_for(nc: int) -> solvers.Problem:
         level = (fine_n // nc).bit_length() - 1
-        problem = build_problem({**cfg, "mesh.nc_x": nc, "mesh.nc_y": nc,
-                                 "mesh.refine": level})
-        ref = _fine_reference(problem, cfg)
+        return build_problem({**cfg, "mesh.nc_x": nc, "mesh.nc_y": nc,
+                              "mesh.refine": level})
+
+    # every nc refines to the same fine mesh, so one reference serves all
+    ref = _fine_reference(problem_for(nc_list[0]), cfg)
+
+    def one(nc: int):
+        problem = problem_for(nc)
         rep = _run(problem, cfg, ref, ref.final_energy,
                    os.path.join(out, f"nc_{nc}", "iterations.csv"), {"nc": nc},
                    space="coarse")
-        h1, w1p = fem.error_norms(rep.state, ref.state, p)
+        h1, w1p = fem.error_norms(rep.state, problem.state(ref.state.u), p)
         energy_err = problem.energy(rep.state) - ref.final_energy
         h_coarse = max(cfg["mesh.lx"] / nc, cfg["mesh.ly"] / nc)
         return [h_coarse, float(2 * nc * nc), h1, w1p, energy_err]

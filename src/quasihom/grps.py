@@ -3,13 +3,17 @@
 Each basis minimizes the energy norm of the current linearized operator
 subject to biorthogonality against the coarse-element indicator functions
 (one constraint per coarse triangle, a row of the measurement matrix).
-Bases on the same patch share one KKT matrix, so a build factors it once
-per distinct patch and makes one checked saddle solve per basis; a global
-space is the one patch that covers every free node and coarse element. An
-update indicator lets the nonlinear driver skip recomputation of bases whose
-operator coefficients barely changed. The coarse Galerkin matrix is formed
-from dense column blocks of the basis. The interpolation built on these
-bases is a test oracle (``tests/oracles.py``): no solver step uses it.
+The fine nodes strictly inside a coarse element touch its constraint only,
+so a build eliminates them once for every element (static condensation)
+and keeps one reduced KKT matrix over the skeleton nodes and constraints.
+Bases on the same patch share that matrix cut to the patch, so a build
+factors it once per distinct patch and makes one checked saddle solve per
+basis; a global space is the one patch that covers every free node and
+coarse element. An update indicator lets the nonlinear driver skip
+recomputation of bases whose operator coefficients barely changed. The
+coarse Galerkin matrix is formed from dense column blocks of the basis. The
+interpolation built on these bases is a test oracle (``tests/oracles.py``):
+no solver step uses it.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import structural_rank
 
 from . import sparsela
 from .mesh import Mesh, build_patch
@@ -63,13 +68,150 @@ def build_measurements(mesh: Mesh) -> sp.csr_matrix:
     return full[:, mesh.free_nodes].tocsr()
 
 
-def _solve_patch(space: CoarseSpace, op: sp.csr_matrix, ids: np.ndarray,
-                 pos: np.ndarray, bases: np.ndarray, outs: list[np.ndarray]) -> None:
+def _entries(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """mat[rows, cols] over the broadcast index arrays; 0 where cols is -1."""
+    shape = np.broadcast_shapes(rows.shape, cols.shape)
+    r, c = (np.broadcast_to(x, shape).flatten() for x in (rows, cols))
+    vals = np.asarray(mat[r, c]) if r.size else 0.0   # no index: scipy gives a sparse matrix
+    return np.where(c >= 0, vals, 0.0).reshape(shape)
+
+
+def _singular_interiors(op: sp.csr_matrix, inner: np.ndarray,
+                        a_ii: np.ndarray) -> dict[int, str]:
+    """The coarse elements whose interior block is singular, with why."""
+    bad = {}
+    for t, (nodes, block) in enumerate(zip(inner, a_ii)):
+        rank = structural_rank(op[nodes][:, nodes])
+        if rank < nodes.size:
+            bad[t] = (f"singular KKT system: structural rank {rank} < {nodes.size} "
+                      f"in the interior of coarse element {t}")
+            continue
+        try:
+            np.linalg.inv(block)
+        except np.linalg.LinAlgError:
+            bad[t] = f"singular KKT system: singular interior of coarse element {t}"
+    return bad
+
+
+def _sub(mat, major: np.ndarray, local: np.ndarray, n_minor: int):
+    """mat (CSR or CSC) cut to the rows of a CSR, or the columns of a CSC,
+    `major`, numbered by their place there, and to the minor indices where
+    `local` >= 0, numbered by `local`. An increasing `local` keeps the
+    indices sorted; an int32 one keeps scipy from copying them."""
+    start = mat.indptr[major]
+    counts = mat.indptr[major + 1] - start
+    ends = np.cumsum(counts)
+    at = np.repeat(start - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+    minor = np.take(local, np.take(mat.indices, at))
+    keep = minor >= 0
+    # the entries left out are few: count them with a search, not a cumsum
+    indptr = np.concatenate([[0], ends - np.searchsorted(np.flatnonzero(~keep), ends)])
+    shape = (major.size, n_minor) if mat.format == "csr" else (n_minor, major.size)
+    return type(mat)((np.take(mat.data, at[keep]), minor[keep], indptr.astype(np.int32)),
+                     shape=shape)
+
+
+@dataclass
+class _Condensed:
+    """A symmetric op with the interior nodes of every coarse element eliminated.
+
+    ``kkt`` is the reduced KKT matrix over the n_skeleton skeleton nodes
+    (free nodes in order, row ``index[j]`` for free node j, -1 for interior
+    nodes and at the trailing slot) and then every constraint. Interior
+    nodes of element T are -coupling[T] @ [x on the skeleton of T's closure,
+    lam_T].
+    """
+
+    kkt: sp.csc_matrix
+    index: np.ndarray
+    n_skeleton: int
+    coupling: np.ndarray           # (n_coarse, n_i, n_s + 1)
+    singular: dict[int, str]       # elements whose interior cannot be eliminated
+
+
+def _condense(space: CoarseSpace, op: sp.csr_matrix) -> _Condensed:
+    """Static condensation of every coarse element T, once per operator:
+    coupling[T] = A_II^-1 [A_IS, b_I'] from one batched dense solve, and the
+    reduced matrix [[A_SS, B_S'], [B_S, 0]] minus each correction
+    [A_IS, b_I']' coupling[T] (op is symmetric) over the skeleton of T's
+    closure and T's constraint.
+
+    A patch's reduced matrix is this one cut to its skeleton nodes and
+    constraints: every element that touches a skeleton node of the patch is
+    in the patch. The correction blocks store every node of the closure,
+    zeros too: the minimum-degree ordering finds less fill with whole blocks.
+    """
+    inner, skel = space.mesh.coarse_cells
+    n_coarse, n_free = inner.shape[0], op.shape[0]
+    is_skel = np.ones(n_free, dtype=bool)
+    is_skel[inner] = False
+    skel_nodes = np.flatnonzero(is_skel)
+    n_s = skel_nodes.size
+    index = np.full(n_free + 1, -1, dtype=np.int32)
+    index[skel_nodes] = np.arange(n_s)
+
+    n_i = inner.shape[1]
+    rows = _entries(op, inner[:, :, None], np.concatenate([inner, skel], axis=1)[:, None, :])
+    a_ii = rows[:, :, :n_i]
+    b_i = _entries(space.meas, np.arange(n_coarse)[:, None], inner)
+    right = np.concatenate([rows[:, :, n_i:], b_i[:, :, None]], axis=2)
+    singular = {}
+    try:
+        coupling = np.linalg.solve(a_ii, right)
+    except np.linalg.LinAlgError:
+        singular = _singular_interiors(op, inner, a_ii)
+        a_ii[list(singular)] = np.eye(n_i)   # never read: their patches fail
+        coupling = np.linalg.solve(a_ii, right)
+
+    a_ss = _sub(op, skel_nodes, index, n_s).tocoo()
+    b_s = _sub(space.meas, np.arange(n_coarse), index, n_s).tocoo()
+    rows = [a_ss.row, b_s.row + n_s, b_s.col]
+    cols = [a_ss.col, b_s.col, b_s.row + n_s]
+    vals = [a_ss.data, b_s.data, b_s.data]
+    if n_i:                             # else nothing is eliminated: the plain KKT matrix
+        at = np.concatenate([index[skel], n_s + np.arange(n_coarse)[:, None]], axis=1)
+        r, c = np.broadcast_arrays(at[:, :, None], at[:, None, :])
+        keep = (r >= 0) & (c >= 0)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(-(right.transpose(0, 2, 1) @ coupling)[keep])
+    kkt = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n_s + n_coarse,) * 2)
+    return _Condensed(kkt, index, n_s, coupling, singular)
+
+
+def _patch_factor(space: CoarseSpace, op: sp.csr_matrix, cond: _Condensed,
+                  ids: np.ndarray, pos: np.ndarray) -> sparsela.KKTFactor:
+    """The KKT factor of the patch of coarse elements `ids` and free-node
+    positions `pos`, factored over its skeleton nodes and constraints only."""
+    n_free, m = op.shape[0], ids.size
+    local = np.full(n_free + 1, -1, dtype=np.int32)
+    local[pos] = np.arange(pos.size)
+    kept = np.flatnonzero(cond.index[pos] >= 0)
+    n_s = kept.size
+    at = np.concatenate([cond.index[pos[kept]], cond.n_skeleton + ids])
+    red = np.full(cond.kkt.shape[0] + 1, -1, dtype=np.int32)
+    red[at] = np.arange(at.size)
+    inner, skel = space.mesh.coarse_cells
+    gather = np.concatenate([red[cond.index[skel[ids]]], n_s + np.arange(m)[:, None]], axis=1)
+    return sparsela.KKTFactor(
+        _sub(op, pos, local, pos.size), _sub(space.meas, ids, local, pos.size),
+        sparsela.Condensation(kkt=_sub(cond.kkt, at, red, at.size), kept=kept,
+                              interior=local[inner[ids]], gather=gather,
+                              coupling=cond.coupling[ids]))
+
+
+def _solve_patch(space: CoarseSpace, op: sp.csr_matrix, cond: _Condensed,
+                 ids: np.ndarray, pos: np.ndarray, bases: np.ndarray,
+                 outs: list[np.ndarray]) -> None:
     """Solve the bases `bases` of one patch (coarse elements `ids`, free-node
     positions `pos`) into `outs`: one KKT factorization, dropped on return,
     and one checked saddle solve per basis."""
     try:
-        factor = sparsela.KKTFactor(op[pos][:, pos], space.meas[ids][:, pos])
+        failed = next((cond.singular[t] for t in ids.tolist() if t in cond.singular), None)
+        if failed:
+            raise sparsela.RankDeficiencyError(failed)
+        factor = _patch_factor(space, op, cond, ids, pos)
     except sparsela.SolveError as exc:
         where = ("global basis build" if space.layers is None
                  else f"bases {bases.tolist()} (layers={space.layers})")
@@ -125,9 +267,10 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, indices) -> CoarseSpace
     sizes = np.array([pos.size for _, pos in support], dtype=int)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     vals = np.empty(offsets[-1])
+    cond = _condense(space, op) if groups else None
     for ks in groups.values():
         ids, pos = support[ks[0]]
-        _solve_patch(space, op, ids, pos, indices[ks],
+        _solve_patch(space, op, cond, ids, pos, indices[ks],
                      [vals[offsets[k]:offsets[k + 1]] for k in ks])
     # rows not rebuilt are kept as they are, the rebuilt ones zeroed and
     # replaced by their new triplets

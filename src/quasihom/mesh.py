@@ -112,6 +112,23 @@ class Mesh:
                               (np.repeat(np.arange(len(tris)), 3), tris.ravel())))
 
     @cached_property
+    def coarse_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(interior, skeleton) free positions per coarse element, one row each.
+
+        interior[t] holds the nodes strictly inside coarse element t, which
+        touch no other element; skeleton[t] the nodes on the coarse edges of
+        its closure, -1 for boundary nodes. Rows are sorted by node, and all
+        rows of one array have the same width on a structured mesh.
+        """
+        nv = self.n_vertices
+        keys = np.unique(np.repeat(self.parent, 3) * nv + self.triangles.ravel())
+        node = keys % nv
+        inner = (np.bincount(node, minlength=nv)[node] == 1) & ~self.boundary_mask[node]
+        n_coarse = self.n_coarse_triangles
+        pos = self.free_pos[node]
+        return pos[inner].reshape(n_coarse, -1), pos[~inner].reshape(n_coarse, -1)
+
+    @cached_property
     def assembly_plan(self):
         """Free-free CSR pattern and the CSR slot of each of the 9 * n_t
         element-block entries; entries touching the boundary go to slot nnz."""

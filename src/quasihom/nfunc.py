@@ -54,11 +54,13 @@ class NFunction:
         if p == 2.0:
             em = eps_minus_pow  # exponent 0 makes the floor meaningless; keep em>0
         else:
+            if not eps_minus_pow > 0:
+                raise ValueError(f"eps_minus_pow must be > 0 for p != 2, got {eps_minus_pow!r}")
             try:
                 em = eps_minus_pow ** (1.0 / (p - 2.0))
             except OverflowError:
                 em = math.inf
-            if eps_minus_pow > 0 and not 0.0 < em < math.inf:
+            if not 0.0 < em < math.inf:
                 raise ValueError(
                     f"eps_minus = eps_minus_pow ** (1 / (p - 2)) "
                     f"{'underflows to 0' if em == 0.0 else 'overflows'} "

@@ -5,7 +5,10 @@ that returns a solve closure for repeated right-hand sides. A saddle system
 (equality-constrained quadratic minimization) is factored once as a
 ``KKTFactor``; each constraint right-hand side, such as one coarse basis of
 a patch, is one ``solve_saddle`` call against it, which checks the normwise
-backward error of both blocks.
+backward error of both blocks. A factor may hold a ``Condensation``: a
+reduced KKT matrix from which groups of unknowns were eliminated ahead,
+with what it takes to recover them; the check still runs on the full
+system.
 
 Every matrix factored here is symmetric, so both factorizations use one
 symmetric setting of SuperLU (``SYMMETRIC_LU``): a minimum-degree ordering
@@ -20,6 +23,8 @@ its terms, so large operator entries (high contrast) alone fail no system.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,20 +62,46 @@ def factorized_spd(a):
     return lu.solve
 
 
+@dataclass
+class Condensation:
+    """Unknowns of x eliminated from a KKT matrix before it is factored.
+
+    ``kkt`` is the reduced KKT matrix over the kept unknowns x[kept], then
+    the multipliers. The eliminated unknowns come in groups: with
+    s = [x[kept], lam, 0], group k is x[interior[k]] = -coupling[k] @
+    s[gather[k]], where an index -1 in ``gather`` reads the trailing 0.
+    """
+
+    kkt: sp.csc_matrix
+    kept: np.ndarray          # (n_kept,)
+    interior: np.ndarray      # (groups, n_i)
+    gather: np.ndarray        # (groups, c)
+    coupling: np.ndarray      # (groups, n_i, c)
+
+
 class KKTFactor:
     """The factored KKT matrix [[A, B'], [B, 0]] of A and B, kept as CSR
     blocks A, B and B' with the Frobenius norms of A and B for the
-    backward-error check. A structurally singular KKT matrix, which can
-    crash SuperLU, raises RankDeficiencyError before the factorization."""
+    backward-error check. With a ``Condensation`` only its reduced matrix is
+    factored; without one, nothing is eliminated and the full KKT matrix is.
+    A structurally singular factored matrix, which can crash SuperLU, raises
+    RankDeficiencyError before the factorization."""
 
-    def __init__(self, a, b):
+    def __init__(self, a, b, condensation: Condensation | None = None):
         self.a, self.b = sp.csr_matrix(a), sp.csr_matrix(b)
         m, n = self.b.shape
         self.bt = self.b.T.tocsr()
-        kkt = sp.bmat([[self.a, self.bt], [self.b, None]], format="csc")
+        if condensation is None:
+            condensation = Condensation(
+                kkt=sp.bmat([[self.a, self.bt], [self.b, None]], format="csc"),
+                kept=np.arange(n), interior=np.empty((0, 0), dtype=int),
+                gather=np.empty((0, 0), dtype=int), coupling=np.empty((0, 0, 0)))
+        self.condensation = condensation
+        kkt = condensation.kkt
         rank = structural_rank(kkt)
-        if rank < n + m:
-            raise RankDeficiencyError(f"singular KKT system: structural rank {rank} < {n + m}")
+        if rank < kkt.shape[0]:
+            raise RankDeficiencyError(
+                f"singular KKT system: structural rank {rank} < {kkt.shape[0]}")
         try:
             self.lu = spla.splu(kkt, **SYMMETRIC_LU)
         except RuntimeError as exc:
@@ -94,10 +125,15 @@ def solve_saddle(factor: KKTFactor, g):
     if g.size != m:
         raise ValueError(f"constraint right-hand side has {g.size} entries "
                          f"for {m} constraints")
-    sol = factor.lu.solve(np.concatenate([np.zeros(n), g]))
-    if not np.all(np.isfinite(sol)):
+    c = factor.condensation
+    n_kept = c.kept.size
+    sol = factor.lu.solve(np.concatenate([np.zeros(n_kept), g]))
+    x = np.empty(n)
+    x[c.kept] = sol[:n_kept]
+    x[c.interior] = -np.einsum("kij,kj->ki", c.coupling, np.append(sol, 0.0)[c.gather])
+    lam = sol[n_kept:]
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(lam))):
         raise RankDeficiencyError("KKT solve produced non-finite values")
-    x, lam = sol[:n], sol[n:]
 
     # a zero scale comes with a zero residual
     norm, tiny = np.linalg.norm, np.finfo(float).tiny

@@ -7,8 +7,8 @@ be compared with them. The GRPS interpolation is what the optimal-recovery
 tests check the coarse bases with. The per-element gradient gather is the
 plain form of the library's cached gradient operator, the log-scale
 bisection the plain form of the library's root search for c_tilde, and one
-KKT factorization per basis the plain form of the one shared by every basis
-on a patch.
+direct KKT factorization per basis the plain form of the condensed one
+shared by every basis on a patch.
 """
 
 from __future__ import annotations

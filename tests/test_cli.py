@@ -367,6 +367,9 @@ _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
     # piece; these went through with exit 0 and converged = 1
     [*_NC2, "--nfunc.p", "1.5"],
     [*_NC2, "--nfunc.p", "5", "--nfunc.eps_minus_pow", "1"],
+    # a floor at or below 0 has no real root: a TypeError traceback (exit 1)
+    [*_NC2, "--nfunc.p", "5", "--nfunc.eps_minus_pow", "-1"],
+    [*_NC2, "--nfunc.p", "5", "--nfunc.eps_minus_pow", "0"],
     # repeated entries solved twice into one run directory or summary column
     ["homogenization-error", "--hom.nc_list", "2,2"],
     ["compare-methods", "--compare.methods", "gd,gd,newton"],
@@ -380,7 +383,8 @@ _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
         "contrast_inf", "lx_nan", "lx_inf", "eps_minus_pow_nan", "eps_plus_nan",
         "tol_nan", "cq_nan", "cq_inf", "p_inf", "tol_inf", "f_value_nan", "f_value_inf",
         "reg_study_power", "reg_study_p2", "p_below_2_default_floor",
-        "eps_minus_pow_one", "nc_list_repeated", "methods_repeated",
+        "eps_minus_pow_one", "eps_minus_pow_negative", "eps_minus_pow_zero",
+        "nc_list_repeated", "methods_repeated",
         "eps_list_repeated"])
 def test_main_bad_value_exit_code(tmp_path, args):
     rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),

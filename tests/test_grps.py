@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from quasihom import coeff, fem, grps, nfunc, sparsela
+from quasihom import coeff, fem, grps, nfunc, solvers, sparsela
 from quasihom.grps import (
     CoarseSpace,
     build_measurements,
@@ -295,17 +295,23 @@ def test_degenerate_single_refinement_raises(kkt_calls):
     assert calls.solves == []
 
 
+def _refreshed_per_row(mesh, layers, op, indices) -> np.ndarray:
+    """Rows `indices` of the basis, each from its own refresh_basis call."""
+    return np.array([refresh_basis(coarse_space(mesh, layers), op, [i]).basis[i].toarray()[0]
+                     for i in indices])
+
+
 def test_global_bases_bitwise_equal_to_per_basis_factorizations(rng):
     pr = make_problem(2, 2, p=5.0, kind="mstrig")
     op0 = pr.operator(pr.state(), "pgd")
     space0 = refresh_basis(coarse_space(pr.mesh, None), op0, range(8))
-    meas = space0.meas
-    assert np.array_equal(space0.basis.toarray(), basis_per_row(op0, meas, range(8)))
+    assert np.array_equal(space0.basis.toarray(),
+                          _refreshed_per_row(pr.mesh, None, op0, range(8)))
     op1 = pr.operator(random_state(pr, rng), "newton")
     sel = [6, 1, 3]
     space1 = refresh_basis(space0, op1, sel)
     dense = space1.basis.toarray()
-    assert np.array_equal(dense[sel], basis_per_row(op1, meas, sel))
+    assert np.array_equal(dense[sel], _refreshed_per_row(pr.mesh, None, op1, sel))
     kept = np.setdiff1d(np.arange(8), sel)
     assert np.array_equal(dense[kept], space0.basis.toarray()[kept])
 
@@ -356,6 +362,79 @@ def test_global_build_inaccurate_solve_raises(perturb_splu):
     assert isinstance(info.value.__cause__, sparsela.ConvergenceError)
 
 
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+def test_condensed_bases_match_direct_kkt_on_high_contrast_channels():
+    # contrast 1e6, p = 20, at the solver's Poisson initial state: the
+    # interiors eliminated once per build give the bases of one direct KKT
+    # factorization per basis. (At a random state its patch KKT matrices
+    # reach condition numbers of 1e17 and more, and no two solvers agree
+    # to 1e-12 there.)
+    field = coeff.synth_channels(64, 64, 3, 1e6, seed=1)
+    pr = make_problem(8, 3, p=20.0, field=field)
+    op = pr.operator(solvers.poisson_initial(pr), "newton")
+    space = refresh_basis(coarse_space(pr.mesh, 1), op, range(128))
+    checked = 0
+    for i in range(0, 128, 5):
+        kappa = pr.kappa.values[np.isin(pr.mesh.parent, build_patch(pr.mesh, i, 1).elements)]
+        if kappa.max() / kappa.min() < 1e6:
+            continue
+        ref = basis_per_row(op, space.meas, [i], pr.mesh, 1)[0]
+        assert _rel(space.basis[i].toarray()[0], ref) <= 1e-12
+        checked += 1
+    assert checked >= 3
+
+
+def test_condensed_global_bases_match_direct_kkt(rng):
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    op = pr.operator(random_state(pr, rng), "newton")
+    space = refresh_basis(coarse_space(pr.mesh, None), op, range(32))
+    ref = basis_per_row(op, space.meas, range(32))
+    for got, want in zip(space.basis.toarray(), ref):
+        assert _rel(got, want) <= 1e-12
+
+
+@pytest.mark.parametrize("layers", [None, 1])
+def test_refine_one_factors_the_plain_kkt_matrix(layers, rng, kkt_calls):
+    # one refinement leaves no interior node to eliminate, so the matrix
+    # factored is the direct KKT matrix itself. No basis exists to compare:
+    # with every fine node on the skeleton, +1 on lower and -1 on upper
+    # triangles is a left null vector of every patch's constraint block,
+    # and both builds fail alike, the direct one with the same residual
+    pr = make_problem(4, 1, p=5.0, kind="mstrig")
+    op = pr.operator(random_state(pr, rng), "newton")
+    space = coarse_space(pr.mesh, layers)
+    assert space.mesh.coarse_cells[0].shape == (32, 0)
+    calls = kkt_calls()
+    with pytest.raises(sparsela.RankDeficiencyError) as info:
+        refresh_basis(space, op, [0])
+    with pytest.raises(sparsela.SolveError) as direct:
+        basis_per_row(op, space.meas, [0], pr.mesh, layers)
+    factored, plain = calls.factors[0][0], calls.factors[1][0]
+    assert factored.format == plain.format == "csc"
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(factored, attr), getattr(plain, attr))
+    assert str(info.value).endswith(str(direct.value))
+
+
+def test_each_patch_factors_its_skeleton_nodes_and_constraints(kkt_calls):
+    # refine 2: three interior nodes per coarse element drop out of the
+    # factored matrix of each distinct patch, in the order of first use
+    pr = make_problem(4, 2, p=2.0, kind="mstrig")
+    op = _p2_operator(pr)
+    calls = kkt_calls()
+    refresh_basis(coarse_space(pr.mesh, 2), op, range(32))
+    sizes = []
+    for group in _shared_patch_groups(pr.mesh, 2):
+        patch = build_patch(pr.mesh, group[0], 2)
+        m = patch.elements.size
+        sizes.append(patch.interior_fine_nodes.size - 3 * m + m)
+    assert [a[0].shape[0] for a in calls.factors] == sizes
+    assert len(calls.solves) == 32
+
+
 def _shared_patch_groups(mesh, layers):
     """Coarse elements grouped by the elements of their patch."""
     groups = {}
@@ -375,7 +454,7 @@ def test_localized_bases_on_one_patch_share_a_factorization(rng, kkt_calls):
     assert len(calls.factors) == 24
     assert len(calls.solves) == 32
     assert np.array_equal(space0.basis.toarray(),
-                          basis_per_row(op0, space.meas, range(32), pr.mesh, 2))
+                          _refreshed_per_row(pr.mesh, 2, op0, range(32)))
 
 
 def test_refresh_of_one_shared_basis_rebuilds_only_its_row(rng, kkt_calls):
@@ -388,7 +467,7 @@ def test_refresh_of_one_shared_basis_rebuilds_only_its_row(rng, kkt_calls):
     space1 = refresh_basis(space0, op1, [i])
     assert (len(calls.factors), len(calls.solves)) == (1, 1)
     dense, dense0 = space1.basis.toarray(), space0.basis.toarray()
-    assert np.array_equal(dense[i], basis_per_row(op1, space0.meas, [i], pr.mesh, 2)[0])
+    assert np.array_equal(dense[i], _refreshed_per_row(pr.mesh, 2, op1, [i])[0])
     kept = np.arange(32) != i
     assert np.array_equal(dense[kept], dense0[kept])
     assert not np.array_equal(dense[i], dense0[i])

@@ -168,3 +168,28 @@ def test_interior_fine_nodes_match_definition():
         and all(t in fine_set for t in tri_of_node[v])
     ]
     assert np.array_equal(p.interior_fine_nodes, expected)
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_coarse_cells_partition_the_free_nodes(level):
+    # every free node is interior to exactly one coarse element, where all
+    # its fine triangles lie, or on the skeleton of each element it touches
+    m = refine(build_coarse_mesh(3, 2, 1.5, 1.0), level)
+    inner, skel = m.coarse_cells
+    n_coarse, n_free = m.n_coarse_triangles, m.free_nodes.size
+    assert inner.shape == (n_coarse, (2 ** level - 1) * (2 ** level - 2) // 2)
+    assert skel.shape == (n_coarse, 3 * 2 ** level)
+    assert np.unique(inner).size == inner.size
+    on_skel = np.unique(skel[skel >= 0])
+    assert np.intersect1d(inner, on_skel).size == 0
+    assert np.array_equal(np.union1d(inner, on_skel), np.arange(n_free))
+    node_of = m.free_nodes
+    for t in range(n_coarse):
+        touching = np.unique(m.triangles[m.parent == t])
+        assert inner.shape[1] + skel.shape[1] == touching.size
+        for v in node_of[inner[t]]:
+            assert np.all(m.parent[(m.triangles == v).any(axis=1)] == t)
+        free_skel = skel[t][skel[t] >= 0]
+        assert np.all(np.isin(node_of[free_skel], touching))
+        # the -1 pads stand for the boundary nodes of the closure
+        assert np.sum(skel[t] < 0) == np.sum(m.boundary_mask[touching])
