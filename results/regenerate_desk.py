@@ -7,8 +7,11 @@ moves a number shows there.
 
     PYTHONPATH=src python results/regenerate_desk.py
 
-rebuilds the directory from scratch. Commit the result together with the
-change that moved the numbers, and name the moved files and the reason.
+rebuilds the directory from scratch: it writes into a temporary sibling
+directory and swaps that in only after every command exits 0, so a failing
+command leaves the committed results as they were. Commit the result
+together with the change that moved the numbers, and name the moved files
+and the reason.
 """
 
 from __future__ import annotations
@@ -48,8 +51,17 @@ def run(out: str) -> None:
 
 
 def main() -> int:
-    shutil.rmtree(DESK, ignore_errors=True)
-    run(DESK)
+    new, old = DESK + ".new", DESK + ".old"
+    for path in (new, old):
+        shutil.rmtree(path, ignore_errors=True)
+    try:
+        run(new)
+        if os.path.exists(DESK):
+            os.rename(DESK, old)
+        os.rename(new, DESK)
+    finally:
+        shutil.rmtree(new, ignore_errors=True)
+        shutil.rmtree(old, ignore_errors=True)
     return 0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import coeff, fem, nfunc, solvers, sparsela
+from . import coeff, fem, grps, nfunc, solvers, sparsela
 from .mesh import build_coarse_mesh, refine
 
 EXIT_CONFIG = 2
@@ -85,8 +85,10 @@ _SCHEMA: dict[str, tuple] = {
 
 
 def parse_config(path: str | None, overrides: list[tuple[str, str]]) -> dict:
-    """Config values by key: the file's, then the overrides', then the defaults."""
+    """Config values by key: the file's, then the overrides', then the
+    defaults. A key given twice in the file is an error."""
     raw: dict[str, str] = {}
+    lines: dict[str, int] = {}
     if path:
         try:
             fh = open(path)
@@ -100,7 +102,11 @@ def parse_config(path: str | None, overrides: list[tuple[str, str]]) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key = value")
                 key, _, value = line.partition("=")
-                raw[key.strip()] = value.strip()
+                key = key.strip()
+                if key in lines:
+                    raise ConfigError(f"{path}:{lineno}: {key!r} repeats line {lines[key]}")
+                lines[key] = lineno
+                raw[key] = value.strip()
     for key, value in overrides:
         raw[key] = value
 
@@ -175,6 +181,17 @@ def build_problem(cfg: dict) -> solvers.Problem:
                                build_source(cfg, mesh))
     except (ValueError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def _coarse_problem(cfg: dict) -> solvers.Problem:
+    """build_problem for coarse-space runs: a mesh on which
+    ``grps.coarse_space`` makes no space is a config error, before any solve."""
+    problem = build_problem(cfg)
+    try:
+        grps.coarse_space(problem.mesh, None)
+    except ValueError as exc:
+        raise ConfigError(f"{exc} on {cfg['mesh.nc_x']}x{cfg['mesh.nc_y']} cells") from exc
+    return problem
 
 
 def solver_config(cfg: dict, **overrides) -> solvers.SolverConfig:
@@ -361,10 +378,19 @@ def _map(jobs: int, fn, items):
 # experiments
 
 
-def _fine_reference(problem: solvers.Problem, cfg: dict) -> solvers.SolveReport:
+def _checked(report: solvers.SolveReport, run: str) -> solvers.SolveReport:
+    """report, unless it ended in a solver failure or a non-finite energy:
+    then a SolveError naming the run, before any summary shows its numbers."""
+    if report.reason.startswith(("solver_failure", "energy_nonfinite")):
+        raise sparsela.SolveError(f"{run}: {report.reason}")
+    return report
+
+
+def _fine_reference(problem: solvers.Problem, cfg: dict,
+                    run: str = "fine reference") -> solvers.SolveReport:
     ref_cfg = solver_config(cfg, method="newton", space="fine",
                             line_search="plain", max_iters=200, tol=1e-15)
-    return solvers.solve(problem, ref_cfg)
+    return _checked(solvers.solve(problem, ref_cfg), run)
 
 
 def _initial_guess(cfg: dict, problem: solvers.Problem,
@@ -401,7 +427,7 @@ def _summary(out: str, table: ResultTable, x: str, ys: list[str], svg: str,
 
 
 def run_solve(cfg: dict, out: str, jobs: int) -> None:
-    problem = build_problem(cfg)
+    problem = (_coarse_problem if cfg["solver.space"] == "coarse" else build_problem)(cfg)
     reference = _fine_reference(problem, cfg) if cfg["solve.reference"] else None
     report = _run(problem, cfg, reference,
                   None if reference is None else reference.final_energy,
@@ -416,8 +442,7 @@ def run_solve(cfg: dict, out: str, jobs: int) -> None:
     if len(report.records) > 1 and np.isfinite(report.energies).any():
         emit_svg(iteration_table(report), "n", ["energy"],
                  os.path.join(out, "energy.svg"), title="energy history")
-    if report.reason.startswith(("solver_failure", "energy_nonfinite")):
-        raise sparsela.SolveError(report.reason)
+    _checked(report, "solve")
 
 
 def run_compare_methods(cfg: dict, out: str, jobs: int) -> None:
@@ -427,10 +452,10 @@ def run_compare_methods(cfg: dict, out: str, jobs: int) -> None:
     methods = cfg["compare.methods"]
 
     def one(method: str):
-        return _run(problem, cfg, reference, j_ref,
-                    os.path.join(out, f"iterations_{method}.csv"),
-                    {"method": method}, method=method, space="fine",
-                    max_iters=cfg["compare.max_iters"])
+        return _checked(_run(problem, cfg, reference, j_ref,
+                             os.path.join(out, f"iterations_{method}.csv"),
+                             {"method": method}, method=method, space="fine",
+                             max_iters=cfg["compare.max_iters"]), f"run method={method}")
 
     reports = _map(jobs, one, methods)
     merged_cols = ["n"] + [f"err_{m}" for m in methods]
@@ -460,19 +485,17 @@ def run_homogenization_error(cfg: dict, out: str, jobs: int) -> None:
                 f"hom.fine_n={fine_n} is not a power-of-two refinement of nc={nc}"
             )
 
-    def problem_for(nc: int) -> solvers.Problem:
-        level = (fine_n // nc).bit_length() - 1
-        return build_problem({**cfg, "mesh.nc_x": nc, "mesh.nc_y": nc,
-                              "mesh.refine": level})
-
+    problems = {nc: _coarse_problem({**cfg, "mesh.nc_x": nc, "mesh.nc_y": nc,
+                                     "mesh.refine": (fine_n // nc).bit_length() - 1})
+                for nc in nc_list}
     # every nc refines to the same fine mesh, so one reference serves all
-    ref = _fine_reference(problem_for(nc_list[0]), cfg)
+    ref = _fine_reference(problems[nc_list[0]], cfg)
 
     def one(nc: int):
-        problem = problem_for(nc)
-        rep = _run(problem, cfg, ref, ref.final_energy,
-                   os.path.join(out, f"nc_{nc}", "iterations.csv"), {"nc": nc},
-                   space="coarse")
+        problem = problems[nc]
+        rep = _checked(_run(problem, cfg, ref, ref.final_energy,
+                            os.path.join(out, f"nc_{nc}", "iterations.csv"), {"nc": nc},
+                            space="coarse"), f"run nc={nc}")
         h1, w1p = fem.error_norms(rep.state, problem.state(ref.state.u), p)
         energy_err = problem.energy(rep.state) - ref.final_energy
         h_coarse = max(cfg["mesh.lx"] / nc, cfg["mesh.ly"] / nc)
@@ -498,7 +521,7 @@ def run_regularization_study(cfg: dict, out: str, jobs: int) -> None:
 
     def one(eps_pow: float):
         problem = build_problem({**cfg, "nfunc.eps_minus_pow": eps_pow})
-        rep = _fine_reference(problem, cfg)
+        rep = _fine_reference(problem, cfg, f"run eps_minus_pow={eps_pow:g}")
         gap = abs(j_unreg - rep.final_energy)
         return [eps_pow, rep.final_energy, gap]
 
@@ -520,16 +543,17 @@ def run_sparse_update_study(cfg: dict, out: str, jobs: int) -> None:
     if bad:
         raise ConfigError(f"sparse.delta_list needs thresholds > 0 with distinct "
                           f"run directories delta_<threshold:g>: {bad}")
-    problem = build_problem(cfg)
+    problem = _coarse_problem(cfg)
     ref = _fine_reference(problem, cfg)
     p = cfg["nfunc.p"]
     n_basis = problem.mesh.n_coarse_triangles
 
     def one(d: float):
         tag = f"{d:g}"
-        rep = _run(problem, cfg, ref, ref.final_energy,
-                   os.path.join(out, f"delta_{tag}", "iterations.csv"),
-                   {"delta_i": tag}, space="coarse", delta_i=d)
+        rep = _checked(_run(problem, cfg, ref, ref.final_energy,
+                            os.path.join(out, f"delta_{tag}", "iterations.csv"),
+                            {"delta_i": tag}, space="coarse", delta_i=d),
+                       f"run delta_i={tag}")
         later = [r.bases_updated for r in rep.records[1:-1]]
         frac = sum(later) / (n_basis * len(later)) if later else 1.0
         h1 = fem.error_norms(rep.state, ref.state, p)[0]

@@ -5,15 +5,15 @@ subject to biorthogonality against the coarse-element indicator functions
 (one constraint per coarse triangle, a row of the measurement matrix).
 The fine nodes strictly inside a coarse element touch its constraint only,
 so a build eliminates them once for every element (static condensation)
-and keeps one reduced KKT matrix over the skeleton nodes and constraints.
-Bases on the same patch share that matrix cut to the patch, so a build
-factors it once per distinct patch and makes one checked saddle solve per
+into one ``sparsela.Condensation`` over the skeleton nodes and constraints.
+Bases on the same patch share that condensation cut to the patch, so a build
+factors once per distinct patch and makes one checked saddle solve per
 basis; a global space is the one patch that covers every free node and
-coarse element. An update indicator lets the nonlinear driver skip
-recomputation of bases whose operator coefficients barely changed. The
-coarse Galerkin matrix is formed from dense column blocks of the basis. The
-interpolation built on these bases is a test oracle (``tests/oracles.py``):
-no solver step uses it.
+coarse element. Coarse spaces need a mesh refined at least twice. An update
+indicator lets the nonlinear driver skip recomputation of bases whose
+operator coefficients barely changed. The coarse Galerkin matrix is formed
+from dense column blocks of the basis. The interpolation built on these
+bases is a test oracle (``tests/oracles.py``): no solver step uses it.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ def build_measurements(mesh: Mesh) -> sp.csr_matrix:
     The result is (n_coarse, n_free); row i sums to |T_i| minus the hat mass
     lost to boundary nodes.
     """
-    if not mesh.is_structured:
-        raise ValueError("measurements need the coarse structure of the mesh")
     n_coarse = mesh.n_coarse_triangles
     areas = mesh.areas
     rows = np.repeat(mesh.parent, 3)
@@ -111,32 +109,18 @@ def _sub(mat, major: np.ndarray, local: np.ndarray, n_minor: int):
                      shape=shape)
 
 
-@dataclass
-class _Condensed:
-    """A symmetric op with the interior nodes of every coarse element eliminated.
+def _condense(space: CoarseSpace, op: sp.csr_matrix) -> tuple[sparsela.Condensation, dict]:
+    """Static condensation of every coarse element T, once per operator, and
+    the elements whose interior block is singular, with why.
 
-    ``kkt`` is the reduced KKT matrix over the n_skeleton skeleton nodes
-    (free nodes in order, row ``index[j]`` for free node j, -1 for interior
-    nodes and at the trailing slot) and then every constraint. Interior
-    nodes of element T are -coupling[T] @ [x on the skeleton of T's closure,
-    lam_T].
-    """
+    The interior nodes of T, ``interior[T]``, are -coupling[T] @ [x on the
+    skeleton of T's closure, lam_T], with coupling[T] = A_II^-1 [A_IS, b_I']
+    from one batched dense solve. The reduced matrix over the skeleton nodes
+    ``kept`` and every constraint is [[A_SS, B_S'], [B_S, 0]] minus each
+    correction [A_IS, b_I']' coupling[T] (op is symmetric) over the skeleton
+    of T's closure and T's constraint, the rows ``gather[T]``.
 
-    kkt: sp.csc_matrix
-    index: np.ndarray
-    n_skeleton: int
-    coupling: np.ndarray           # (n_coarse, n_i, n_s + 1)
-    singular: dict[int, str]       # elements whose interior cannot be eliminated
-
-
-def _condense(space: CoarseSpace, op: sp.csr_matrix) -> _Condensed:
-    """Static condensation of every coarse element T, once per operator:
-    coupling[T] = A_II^-1 [A_IS, b_I'] from one batched dense solve, and the
-    reduced matrix [[A_SS, B_S'], [B_S, 0]] minus each correction
-    [A_IS, b_I']' coupling[T] (op is symmetric) over the skeleton of T's
-    closure and T's constraint.
-
-    A patch's reduced matrix is this one cut to its skeleton nodes and
+    A patch's condensation is this one cut to its skeleton nodes and
     constraints: every element that touches a skeleton node of the patch is
     in the patch. The correction blocks store every node of the closure,
     zeros too: the minimum-degree ordering finds less fill with whole blocks.
@@ -145,10 +129,10 @@ def _condense(space: CoarseSpace, op: sp.csr_matrix) -> _Condensed:
     n_coarse, n_free = inner.shape[0], op.shape[0]
     is_skel = np.ones(n_free, dtype=bool)
     is_skel[inner] = False
-    skel_nodes = np.flatnonzero(is_skel)
-    n_s = skel_nodes.size
+    kept = np.flatnonzero(is_skel)
+    n_s = kept.size
     index = np.full(n_free + 1, -1, dtype=np.int32)
-    index[skel_nodes] = np.arange(n_s)
+    index[kept] = np.arange(n_s)
 
     n_i = inner.shape[1]
     rows = _entries(op, inner[:, :, None], np.concatenate([inner, skel], axis=1)[:, None, :])
@@ -163,52 +147,48 @@ def _condense(space: CoarseSpace, op: sp.csr_matrix) -> _Condensed:
         a_ii[list(singular)] = np.eye(n_i)   # never read: their patches fail
         coupling = np.linalg.solve(a_ii, right)
 
-    a_ss = _sub(op, skel_nodes, index, n_s).tocoo()
+    a_ss = _sub(op, kept, index, n_s).tocoo()
     b_s = _sub(space.meas, np.arange(n_coarse), index, n_s).tocoo()
-    rows = [a_ss.row, b_s.row + n_s, b_s.col]
-    cols = [a_ss.col, b_s.col, b_s.row + n_s]
-    vals = [a_ss.data, b_s.data, b_s.data]
-    if n_i:                             # else nothing is eliminated: the plain KKT matrix
-        at = np.concatenate([index[skel], n_s + np.arange(n_coarse)[:, None]], axis=1)
-        r, c = np.broadcast_arrays(at[:, :, None], at[:, None, :])
-        keep = (r >= 0) & (c >= 0)
-        rows.append(r[keep])
-        cols.append(c[keep])
-        vals.append(-(right.transpose(0, 2, 1) @ coupling)[keep])
-    kkt = sp.csc_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(n_s + n_coarse,) * 2)
-    return _Condensed(kkt, index, n_s, coupling, singular)
+    gather = np.concatenate([index[skel], n_s + np.arange(n_coarse)[:, None]], axis=1)
+    r, c = np.broadcast_arrays(gather[:, :, None], gather[:, None, :])
+    keep = (r >= 0) & (c >= 0)
+    rows = np.concatenate([a_ss.row, b_s.row + n_s, b_s.col, r[keep]])
+    cols = np.concatenate([a_ss.col, b_s.col, b_s.row + n_s, c[keep]])
+    vals = np.concatenate([a_ss.data, b_s.data, b_s.data,
+                           -(right.transpose(0, 2, 1) @ coupling)[keep]])
+    kkt = sp.csc_matrix((vals, (rows, cols)), shape=(n_s + n_coarse,) * 2)
+    return sparsela.Condensation(kkt, kept, inner, gather, coupling), singular
 
 
-def _patch_factor(space: CoarseSpace, op: sp.csr_matrix, cond: _Condensed,
+def _patch_factor(space: CoarseSpace, op: sp.csr_matrix, cond: sparsela.Condensation,
                   ids: np.ndarray, pos: np.ndarray) -> sparsela.KKTFactor:
     """The KKT factor of the patch of coarse elements `ids` and free-node
-    positions `pos`, factored over its skeleton nodes and constraints only."""
-    n_free, m = op.shape[0], ids.size
-    local = np.full(n_free + 1, -1, dtype=np.int32)
+    positions `pos`, factored over its skeleton nodes and constraints only:
+    the whole problem's condensation `cond` cut to the patch."""
+    # intp maps: scipy copies the cuts' indices to int32, and every saddle
+    # solve then indexes with intp arrays, which is faster
+    local = np.full(op.shape[0] + 1, -1)
     local[pos] = np.arange(pos.size)
-    kept = np.flatnonzero(cond.index[pos] >= 0)
-    n_s = kept.size
-    at = np.concatenate([cond.index[pos[kept]], cond.n_skeleton + ids])
-    red = np.full(cond.kkt.shape[0] + 1, -1, dtype=np.int32)
+    in_patch = local[cond.kept]
+    skel = np.flatnonzero(in_patch >= 0)
+    at = np.concatenate([skel, cond.kept.size + ids])
+    red = np.full(cond.kkt.shape[0] + 1, -1)
     red[at] = np.arange(at.size)
-    inner, skel = space.mesh.coarse_cells
-    gather = np.concatenate([red[cond.index[skel[ids]]], n_s + np.arange(m)[:, None]], axis=1)
     return sparsela.KKTFactor(
         _sub(op, pos, local, pos.size), _sub(space.meas, ids, local, pos.size),
-        sparsela.Condensation(kkt=_sub(cond.kkt, at, red, at.size), kept=kept,
-                              interior=local[inner[ids]], gather=gather,
-                              coupling=cond.coupling[ids]))
+        sparsela.Condensation(kkt=_sub(cond.kkt, at, red, at.size), kept=in_patch[skel],
+                              interior=local[cond.interior[ids]],
+                              gather=red[cond.gather[ids]], coupling=cond.coupling[ids]))
 
 
-def _solve_patch(space: CoarseSpace, op: sp.csr_matrix, cond: _Condensed,
-                 ids: np.ndarray, pos: np.ndarray, bases: np.ndarray,
-                 outs: list[np.ndarray]) -> None:
+def _solve_patch(space: CoarseSpace, op: sp.csr_matrix, cond: sparsela.Condensation,
+                 singular: dict[int, str], ids: np.ndarray, pos: np.ndarray,
+                 bases: np.ndarray, outs: list[np.ndarray]) -> None:
     """Solve the bases `bases` of one patch (coarse elements `ids`, free-node
     positions `pos`) into `outs`: one KKT factorization, dropped on return,
     and one checked saddle solve per basis."""
     try:
-        failed = next((cond.singular[t] for t in ids.tolist() if t in cond.singular), None)
+        failed = next((singular[t] for t in ids.tolist() if t in singular), None)
         if failed:
             raise sparsela.RankDeficiencyError(failed)
         factor = _patch_factor(space, op, cond, ids, pos)
@@ -229,7 +209,10 @@ def _solve_patch(space: CoarseSpace, op: sp.csr_matrix, cond: _Condensed,
 def coarse_space(mesh: Mesh, layers: int | None) -> CoarseSpace:
     """The space of the mesh with every basis zero, to be built by
     ``refresh_basis``; layers=None makes global bases, layers < 0 the
-    ``default_layers`` radius."""
+    ``default_layers`` radius. A mesh refined fewer than two times raises
+    ValueError: its coarse elements have no interior nodes, and no basis exists."""
+    if mesh.level < 2:
+        raise ValueError(f"a coarse space needs mesh.refine >= 2, got {mesh.level}")
     meas = build_measurements(mesh)
     if layers is not None and layers < 0:
         layers = default_layers(mesh)
@@ -267,10 +250,10 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, indices) -> CoarseSpace
     sizes = np.array([pos.size for _, pos in support], dtype=int)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     vals = np.empty(offsets[-1])
-    cond = _condense(space, op) if groups else None
+    cond, singular = _condense(space, op) if groups else (None, {})
     for ks in groups.values():
         ids, pos = support[ks[0]]
-        _solve_patch(space, op, cond, ids, pos, indices[ks],
+        _solve_patch(space, op, cond, singular, ids, pos, indices[ks],
                      [vals[offsets[k]:offsets[k + 1]] for k in ks])
     # rows not rebuilt are kept as they are, the rebuilt ones zeroed and
     # replaced by their new triplets

@@ -18,11 +18,12 @@ import scipy.sparse as sp
 
 @dataclass
 class Mesh:
-    """Triangle mesh; structured meshes also carry grid metadata.
+    """Structured triangle mesh (`build_coarse_mesh`, `refine`).
 
     vertices: (nv, 2) coordinates. triangles: (nt, 3) CCW vertex indices.
     boundary_nodes: sorted indices of nodes on the region boundary.
     parent: per-triangle index of the level-0 coarse triangle containing it.
+    A mesh made without the grid fields serves the element kernels only.
     Derived arrays are cached properties, computed at first access; patches
     holds each patch that `build_patch` grows, by (i, layers).
     """
@@ -47,13 +48,7 @@ class Mesh:
         return self.triangles.shape[0]
 
     @property
-    def is_structured(self) -> bool:
-        return self.ncx is not None
-
-    @property
     def n_coarse_triangles(self) -> int:
-        if not self.is_structured:
-            raise ValueError("unstructured mesh has no coarse structure")
         return 2 * self.ncx * self.ncy
 
     @cached_property
@@ -118,7 +113,7 @@ class Mesh:
         interior[t] holds the nodes strictly inside coarse element t, which
         touch no other element; skeleton[t] the nodes on the coarse edges of
         its closure, -1 for boundary nodes. Rows are sorted by node, and all
-        rows of one array have the same width on a structured mesh.
+        rows of one array have the same width.
         """
         nv = self.n_vertices
         keys = np.unique(np.repeat(self.parent, 3) * nv + self.triangles.ravel())
@@ -225,16 +220,12 @@ def refine(mesh: Mesh, j: int) -> Mesh:
     """Refine j times, each triangle into four congruent subtriangles."""
     if j < 0:
         raise ValueError("refinement count must be >= 0")
-    if not mesh.is_structured:
-        raise ValueError("only structured meshes support refinement")
     return _structured(mesh.ncx, mesh.ncy, mesh.lx, mesh.ly, mesh.level + j)
 
 
 def build_patch(mesh: Mesh, i: int, layers: int) -> Patch:
     """Grow the patch of coarse element i by vertex-sharing adjacency, layers
     times; once per mesh, which keeps the finished patch by (i, layers)."""
-    if not mesh.is_structured:
-        raise ValueError("patches are defined on structured meshes")
     n_coarse = mesh.n_coarse_triangles
     if not 0 <= i < n_coarse:
         raise IndexError(f"coarse element {i} out of range [0, {n_coarse})")

@@ -424,15 +424,15 @@ def estimate_cn(problem: Problem, state: fem.FemState, w0_free: np.ndarray,
 
 def solve(problem: Problem, cfg: SolverConfig, u0: fem.FemState | None = None,
           reference_energy: float | None = None) -> SolveReport:
-    """Run the nonlinear iteration per the configured method and space."""
+    """Run the nonlinear iteration per the configured method and space; a
+    coarse space that ``grps.coarse_space`` refuses raises before any solve."""
     cfg.validate()
+    space = None if cfg.space == "fine" else grps.coarse_space(
+        problem.mesh, None if cfg.global_basis else cfg.ell)
     state = poisson_initial(problem) if u0 is None else u0
 
     records: list[IterationRecord] = []
     ls_mode = cfg.line_search      # a regularized search drops to "plain" for good
-
-    space = None if cfg.space == "fine" else grps.coarse_space(
-        problem.mesh, None if cfg.global_basis else cfg.ell)
     prev_u = None
     converged = False
     reason = "max_iters"

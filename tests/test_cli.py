@@ -83,6 +83,15 @@ def test_parse_config_bad_line(tmp_path):
         parse_config(str(cfgfile), [])
 
 
+def test_parse_config_repeated_key(tmp_path):
+    # the last value used to win without a word
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("mesh.nc_x = 2\n# comment\nmesh.nc_y = 2\n mesh.nc_x=4\n")
+    with pytest.raises(ConfigError, match=r"run\.cfg:4: 'mesh\.nc_x' repeats line 1"):
+        parse_config(str(cfgfile), [])
+    assert main(["solve", "--config", str(cfgfile), "--out", str(tmp_path)]) == cli.EXIT_CONFIG
+
+
 def test_main_config_error_exit_code(tmp_path):
     rc = main(["solve", "--out", str(tmp_path), "--bogus.key", "1"])
     assert rc == cli.EXIT_CONFIG
@@ -307,6 +316,17 @@ def test_csv_17_digit_format(tmp_path):
 
 _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
 
+# a coarse space below two refinements can build no basis: these stopped at
+# iteration 0 (exit 4), or reported the Poisson start's error as the nc = 8
+# result (exit 0)
+_REFINE_ONE = [
+    ["solve", "--mesh.nc_x", "4", "--mesh.nc_y", "4", "--mesh.refine", "1",
+     "--solver.space", "coarse"],
+    ["solve", "--mesh.nc_x", "4", "--mesh.nc_y", "4", "--mesh.refine", "1",
+     "--solver.space", "coarse", "--solver.global_basis", "true"],
+    ["homogenization-error", "--hom.nc_list", "2,8", "--hom.fine_n", "16"],
+]
+
 
 @pytest.mark.parametrize("args", [
     ["solve", "--solver.delta_i", "abc"],
@@ -374,6 +394,7 @@ _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
     ["homogenization-error", "--hom.nc_list", "2,2"],
     ["compare-methods", "--compare.methods", "gd,gd,newton"],
     ["regularization-study", "--reg.eps_list", "1e-2,0.01"],
+    *_REFINE_ONE,
 ], ids=["delta_i", "delta_i_full", "delta_i_negative", "delta_i_nan",
         "delta_list_zero", "delta_list_duplicate_tag", "nfunc_p", "nc_list",
         "inner_cap_removed", "cq", "max_iters", "fine_n_below_nc", "fine_n_zero", "nc_zero",
@@ -385,11 +406,45 @@ _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
         "reg_study_power", "reg_study_p2", "p_below_2_default_floor",
         "eps_minus_pow_one", "eps_minus_pow_negative", "eps_minus_pow_zero",
         "nc_list_repeated", "methods_repeated",
-        "eps_list_repeated"])
-def test_main_bad_value_exit_code(tmp_path, args):
+        "eps_list_repeated", "coarse_refine_one", "coarse_refine_one_global",
+        "hom_refine_one"])
+def test_main_bad_value_exit_code(tmp_path, args, monkeypatch, capsys):
+    monkeypatch.setattr(solvers, "solve", lambda *a, **k: pytest.fail("solve reached"))
     rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),
                "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
+    if args in _REFINE_ONE:
+        assert "mesh.refine >= 2" in capsys.readouterr().err
+
+
+_OVERFLOW = ["--mesh.nc_x", "2", "--mesh.nc_y", "2", "--nfunc.p", "1000",
+             "--coeff.value", "1e-3"]
+
+
+@pytest.mark.parametrize("experiment", ["compare-methods", "homogenization-error",
+                                        "regularization-study", "sparse-update-study"])
+def test_sweep_with_failed_fine_reference_exits_4(tmp_path, capsys, experiment):
+    # every energy overflows: these ended in a plotting traceback (exit 1),
+    # after a summary.csv of the failed runs' numbers
+    assert main([experiment, *_OVERFLOW, "--out", str(tmp_path)]) == cli.EXIT_SOLVER
+    assert "fine reference: energy_nonfinite" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize("args, run", [
+    (["homogenization-error", "--hom.nc_list", "2,4", "--hom.fine_n", "16"], "run nc=2"),
+    (["sparse-update-study", "--mesh.nc_x", "2", "--mesh.nc_y", "2",
+      "--sparse.delta_list", "5"], "run delta_i=0"),
+])
+def test_sweep_with_failed_coarse_run_exits_4(tmp_path, capsys, monkeypatch, args, run):
+    # the fine reference converges, every basis build fails
+    def fail(*a, **k):
+        raise solvers.sparsela.RankDeficiencyError("no basis")
+
+    monkeypatch.setattr(solvers.grps, "refresh_basis", fail)
+    assert main([*args, "--nfunc.p", "5", "--out", str(tmp_path)]) == cli.EXIT_SOLVER
+    assert f"{run}: solver_failure: no basis" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
 
 
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_file"])

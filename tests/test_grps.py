@@ -283,16 +283,17 @@ def test_patches_grown_once_per_mesh_and_layer_count(monkeypatch):
 
 
 def test_degenerate_single_refinement_raises(kkt_calls):
-    # one refinement level leaves too few interior nodes per constraint: the
-    # one shared factorization of the global KKT fails before any basis is
-    # solved, and the error names the global build
-    pr = make_problem(2, 1, p=2.0)
-    op = _p2_operator(pr)
-    space = coarse_space(pr.mesh, None)
+    # below two refinements no coarse element has interior nodes, and with
+    # every fine node on the skeleton, +1 on lower and -1 on upper triangles
+    # is a left null vector of every constraint block: no basis exists, so
+    # the space is refused before anything is factored
     calls = kkt_calls()
-    with pytest.raises(sparsela.RankDeficiencyError, match="global basis build: singular"):
-        refresh_basis(space, op, range(8))
-    assert calls.solves == []
+    for j in (0, 1):
+        mesh = refine(build_coarse_mesh(4, 4), j)
+        for layers in (None, 1, -1):
+            with pytest.raises(ValueError, match=rf"mesh\.refine >= 2, got {j}"):
+                coarse_space(mesh, layers)
+    assert calls.factors == []
 
 
 def _refreshed_per_row(mesh, layers, op, indices) -> np.ndarray:
@@ -397,26 +398,34 @@ def test_condensed_global_bases_match_direct_kkt(rng):
 
 
 @pytest.mark.parametrize("layers", [None, 1])
-def test_refine_one_factors_the_plain_kkt_matrix(layers, rng, kkt_calls):
-    # one refinement leaves no interior node to eliminate, so the matrix
-    # factored is the direct KKT matrix itself. No basis exists to compare:
-    # with every fine node on the skeleton, +1 on lower and -1 on upper
-    # triangles is a left null vector of every patch's constraint block,
-    # and both builds fail alike, the direct one with the same residual
+def test_refine_one_coarse_solve_is_refused_before_any_factorization(layers, kkt_calls):
+    # this used to factor singular KKT matrices and stop at iteration 0
     pr = make_problem(4, 1, p=5.0, kind="mstrig")
-    op = pr.operator(random_state(pr, rng), "newton")
-    space = coarse_space(pr.mesh, layers)
-    assert space.mesh.coarse_cells[0].shape == (32, 0)
+    cfg = solvers.SolverConfig(space="coarse", global_basis=layers is None,
+                               ell=1 if layers else -1)
     calls = kkt_calls()
-    with pytest.raises(sparsela.RankDeficiencyError) as info:
-        refresh_basis(space, op, [0])
-    with pytest.raises(sparsela.SolveError) as direct:
-        basis_per_row(op, space.meas, [0], pr.mesh, layers)
-    factored, plain = calls.factors[0][0], calls.factors[1][0]
-    assert factored.format == plain.format == "csc"
+    with pytest.raises(ValueError, match=r"mesh\.refine >= 2, got 1"):
+        solvers.solve(pr, cfg)
+    assert calls.factors == [] and calls.solves == []
+
+
+def test_global_build_factors_the_whole_condensation(kkt_calls):
+    # a global space is the one patch over the whole problem, and the cut
+    # of the build's condensation to it is the identity
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    op = pr.operator(pr.state(), "newton")
+    space = coarse_space(pr.mesh, None)
+    cond, singular = grps._condense(space, op)
+    assert singular == {}
+    calls = kkt_calls()
+    refresh_basis(space, op, range(32))
+    [(factored, *_)] = calls.factors
+    assert factored.format == cond.kkt.format == "csc"
     for attr in ("data", "indices", "indptr"):
-        assert np.array_equal(getattr(factored, attr), getattr(plain, attr))
-    assert str(info.value).endswith(str(direct.value))
+        assert np.array_equal(getattr(factored, attr), getattr(cond.kkt, attr))
+    cut = calls.solves[0][0].condensation
+    for attr in ("kept", "interior", "gather", "coupling"):
+        assert np.array_equal(getattr(cut, attr), getattr(cond, attr))
 
 
 def test_each_patch_factors_its_skeleton_nodes_and_constraints(kkt_calls):

@@ -560,13 +560,15 @@ def test_solve_energy_nonfinite_exit():
     assert math.isnan(_failing_record(rep).energy)
 
 
-def test_solve_solver_failure_exit():
-    # too few interior nodes per constraint for global bases on a 2x1 mesh
-    pr = make_problem(2, 1, p=2.0)
-    rep = solvers.solve(pr, SolverConfig(space="coarse", global_basis=True))
-    assert rep.reason.startswith("solver_failure: ")
+def test_solve_solver_failure_exit(perturb_splu):
+    # every basis solve of the first build fails its backward-error check
+    pr = make_problem(2, 2, p=2.0)
+    u0 = solvers.poisson_initial(pr)
+    perturb_splu()
+    rep = solvers.solve(pr, SolverConfig(space="coarse", global_basis=True), u0=u0)
+    assert rep.reason.startswith("solver_failure: basis 0 (layers=None): KKT backward error")
     rec = _failing_record(rep)
-    assert rec.energy == pr.energy(solvers.poisson_initial(pr))
+    assert rec.energy == pr.energy(u0)
     assert rec.bases_updated == 0
 
 
