@@ -86,7 +86,7 @@ _SCHEMA: dict[str, tuple] = {
 
 def parse_config(path: str | None, overrides: list[tuple[str, str]]) -> dict:
     """Config values by key: the file's, then the overrides', then the
-    defaults. A key given twice in the file is an error."""
+    defaults. A key given twice in the file or in the overrides is an error."""
     raw: dict[str, str] = {}
     lines: dict[str, int] = {}
     if path:
@@ -107,7 +107,9 @@ def parse_config(path: str | None, overrides: list[tuple[str, str]]) -> dict:
                     raise ConfigError(f"{path}:{lineno}: {key!r} repeats line {lines[key]}")
                 lines[key] = lineno
                 raw[key] = value.strip()
-    for key, value in overrides:
+    for k, (key, value) in enumerate(overrides):
+        if key in dict(overrides[:k]):
+            raise ConfigError(f"{key!r} is given twice on the command line")
         raw[key] = value
 
     for key in raw:
@@ -590,14 +592,12 @@ def main(argv=None) -> int:
     args, extra = parser.parse_known_args(argv)
 
     overrides = []
-    i = 0
-    while i < len(extra):
+    for i in range(0, len(extra), 2):
         tok = extra[i]
         if not tok.startswith("--") or i + 1 >= len(extra):
             print(f"error: cannot parse override {tok!r}", file=sys.stderr)
             return EXIT_CONFIG
         overrides.append((tok[2:], extra[i + 1]))
-        i += 2
 
     try:
         cfg = parse_config(args.config, overrides)

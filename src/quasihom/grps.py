@@ -11,8 +11,8 @@ factors once per distinct patch and makes one checked saddle solve per
 basis; a global space is the one patch that covers every free node and
 coarse element. Coarse spaces need a mesh refined at least twice. An update
 indicator lets the nonlinear driver skip recomputation of bases whose
-operator coefficients barely changed. The coarse Galerkin matrix is formed
-from dense column blocks of the basis. The interpolation built on these
+operator coefficients barely changed; it and the coarse Galerkin matrix read
+the basis in the same dense column blocks. The interpolation built on these
 bases is a test oracle (``tests/oracles.py``): no solver step uses it.
 """
 
@@ -27,7 +27,7 @@ from scipy.sparse.csgraph import structural_rank
 from . import sparsela
 from .mesh import Mesh, build_patch
 
-COARSE_BLOCK = 64     # bases per dense column block of the Galerkin matrix
+COARSE_BLOCK = 64     # bases per dense block: no n_free x n_basis array is made
 
 
 @dataclass
@@ -267,20 +267,19 @@ def refresh_basis(space: CoarseSpace, op: sp.csr_matrix, indices) -> CoarseSpace
     return replace(space, basis=basis.tocsr())
 
 
-def _galerkin_matrix(op: sp.csr_matrix, r: sp.csr_matrix) -> np.ndarray:
-    """The dense Galerkin matrix R A R', COARSE_BLOCK columns at a time.
+def _column_blocks(r: sp.csr_matrix, out: np.ndarray, fill) -> np.ndarray:
+    """out[..., cols] = fill(d) over R' COARSE_BLOCK columns `cols` at a time,
+    d their dense block (free nodes by bases, in C order for the sparse
+    products). No name holds d, so it is dropped before the next is made."""
+    for j in range(0, r.shape[0], COARSE_BLOCK):
+        cols = slice(j, j + COARSE_BLOCK)
+        out[..., cols] = fill(np.ascontiguousarray(r[cols].toarray().T))
+    return out
 
-    Each block's basis rows are made dense (free nodes by bases, in C order
-    for the sparse products), multiplied by the operator and then by the
-    sparse basis, so no dense n_free x n_basis array is made. The dense
-    block is a temporary: at most two blocks are alive at a time.
-    """
-    n = r.shape[0]
-    a_c = np.empty((n, n))
-    for j in range(0, n, COARSE_BLOCK):
-        a_c[:, j:j + COARSE_BLOCK] = r @ (op @ np.ascontiguousarray(
-            r[j:j + COARSE_BLOCK].toarray().T))
-    return a_c
+
+def _galerkin_matrix(op: sp.csr_matrix, r: sp.csr_matrix) -> np.ndarray:
+    """The dense Galerkin matrix R A R', one column block at a time."""
+    return _column_blocks(r, np.empty((r.shape[0],) * 2), lambda d: r @ (op @ d))
 
 
 def coarse_solve(op: sp.csr_matrix, rhs: np.ndarray,
@@ -295,6 +294,7 @@ def coarse_solve(op: sp.csr_matrix, rhs: np.ndarray,
 
 
 def update_indicators(op_incr: sp.csr_matrix, space: CoarseSpace) -> np.ndarray:
-    """Energy of each basis in the operator linearized at the last increment."""
-    prod = space.basis @ op_incr
-    return np.asarray(prod.multiply(space.basis).sum(axis=1)).ravel()
+    """Energy of each basis in the operator linearized at the last increment:
+    the diagonal of its Galerkin matrix, from the same column blocks."""
+    return _column_blocks(space.basis, np.empty(space.n_basis),
+                          lambda d: np.einsum("ij,ij->j", d, op_incr @ d))

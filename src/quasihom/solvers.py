@@ -482,7 +482,7 @@ def solve(problem: Problem, cfg: SolverConfig, u0: fem.FemState | None = None,
                 break
 
             if cfg.estimate_cn and cfg.method in ("pgd", "newton"):
-                w0 = w if space is None else sparsela.factorized_spd(op)(-r)
+                w0 = w if space is None else direction(problem, state, cfg, r, op, None)[0]
                 with contextlib.suppress(ValueError):     # c_tilde stays nan
                     rec.c_tilde = estimate_cn(problem, state, w0, op)
 

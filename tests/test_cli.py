@@ -23,8 +23,9 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 def test_parse_config_defaults_and_overrides(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("# comment\nnfunc.p = 5\nmesh.nc_x = 4\n")
-    cfg = parse_config(str(cfgfile), [("mesh.nc_y", "2")])
-    assert cfg["nfunc.p"] == 5.0
+    # an override of a file key is allowed: the command line wins
+    cfg = parse_config(str(cfgfile), [("mesh.nc_y", "2"), ("nfunc.p", "3")])
+    assert cfg["nfunc.p"] == 3.0
     assert cfg["mesh.nc_x"] == 4
     assert cfg["mesh.nc_y"] == 2
     assert cfg["solver.method"] == "newton"
@@ -316,6 +317,8 @@ def test_csv_17_digit_format(tmp_path):
 
 _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
 
+_REPEATED_OVERRIDE = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2", "--mesh.nc_x", "4"]
+
 # a coarse space below two refinements can build no basis: these stopped at
 # iteration 0 (exit 4), or reported the Poisson start's error as the nc = 8
 # result (exit 0)
@@ -395,6 +398,8 @@ _REFINE_ONE = [
     ["compare-methods", "--compare.methods", "gd,gd,newton"],
     ["regularization-study", "--reg.eps_list", "1e-2,0.01"],
     *_REFINE_ONE,
+    # the last value used to win without a word
+    _REPEATED_OVERRIDE,
 ], ids=["delta_i", "delta_i_full", "delta_i_negative", "delta_i_nan",
         "delta_list_zero", "delta_list_duplicate_tag", "nfunc_p", "nc_list",
         "inner_cap_removed", "cq", "max_iters", "fine_n_below_nc", "fine_n_zero", "nc_zero",
@@ -407,7 +412,7 @@ _REFINE_ONE = [
         "eps_minus_pow_one", "eps_minus_pow_negative", "eps_minus_pow_zero",
         "nc_list_repeated", "methods_repeated",
         "eps_list_repeated", "coarse_refine_one", "coarse_refine_one_global",
-        "hom_refine_one"])
+        "hom_refine_one", "override_repeated"])
 def test_main_bad_value_exit_code(tmp_path, args, monkeypatch, capsys):
     monkeypatch.setattr(solvers, "solve", lambda *a, **k: pytest.fail("solve reached"))
     rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),
@@ -415,6 +420,8 @@ def test_main_bad_value_exit_code(tmp_path, args, monkeypatch, capsys):
     assert rc == cli.EXIT_CONFIG
     if args in _REFINE_ONE:
         assert "mesh.refine >= 2" in capsys.readouterr().err
+    if args == _REPEATED_OVERRIDE:
+        assert "'mesh.nc_x' is given twice" in capsys.readouterr().err
 
 
 _OVERFLOW = ["--mesh.nc_x", "2", "--mesh.nc_y", "2", "--nfunc.p", "1000",

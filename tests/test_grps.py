@@ -231,17 +231,31 @@ def test_update_indicator_zero_increment_secant_floor(rng):
     )
 
 
-def test_update_indicators_vectorized(rng):
-    pr = make_problem(3, 2, p=5.0, kind="mstrig")
-    op = _p2_operator(pr)
-    space = refresh_basis(coarse_space(pr.mesh, 1), op, range(18))
-    incr = random_state(pr, rng)
-    op_i = pr.operator(incr, "pgd")
+def _assert_indicators_match_oracle(pr, space, rng):
+    op_i = pr.operator(random_state(pr, rng), "pgd")
     vec = update_indicators(op_i, space)
+    assert vec.shape == (space.n_basis,)
     for i in range(space.n_basis):
         assert vec[i] == pytest.approx(
             update_indicator(op_i, space.basis[i].toarray().ravel()), rel=1e-12
         )
+    assert np.all(update_indicators(sp.csr_matrix(op_i.shape), space) == 0.0)
+
+
+def test_update_indicators_vectorized(rng):
+    pr = make_problem(3, 2, p=5.0, kind="mstrig")
+    op = _p2_operator(pr)
+    space = refresh_basis(coarse_space(pr.mesh, 1), op, range(18))
+    _assert_indicators_match_oracle(pr, space, rng)
+
+
+@pytest.mark.parametrize("layers", [1, None], ids=["localized", "global"])
+def test_update_indicators_over_column_blocks(rng, layers):
+    # 72 bases: one full column block of 64 and a partial one of 8
+    pr = make_problem(6, 2, p=5.0, kind="mstrig")
+    space = refresh_basis(coarse_space(pr.mesh, layers), _p2_operator(pr), range(72))
+    assert space.n_basis % grps.COARSE_BLOCK and space.n_basis > grps.COARSE_BLOCK
+    _assert_indicators_match_oracle(pr, space, rng)
 
 
 def test_patch_order_independence():
@@ -555,6 +569,7 @@ def test_coarse_solve_never_densifies_the_whole_basis():
     tracemalloc.start()
     try:
         coarse_solve(op, rhs, space)
+        update_indicators(op, space)        # the same column blocks
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
