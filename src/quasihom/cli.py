@@ -197,7 +197,8 @@ def _coarse_problem(cfg: dict) -> solvers.Problem:
 
 
 def solver_config(cfg: dict, **overrides) -> solvers.SolverConfig:
-    """The SolverConfig of cfg's solver.* keys, with keyword overrides."""
+    """The SolverConfig of cfg's solver.* keys, with keyword overrides; the
+    initial guess solver.u0 is checked here too."""
     out = solvers.SolverConfig(**{
         **{f.name: cfg[f"solver.{f.name}"] for f in fields(solvers.SolverConfig)},
         **overrides})
@@ -205,6 +206,8 @@ def solver_config(cfg: dict, **overrides) -> solvers.SolverConfig:
         out.validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if cfg["solver.u0"] not in ("poisson", "zero", "half_reference"):
+        raise ConfigError(f"unknown initial guess {cfg['solver.u0']!r}")
     return out
 
 
@@ -402,19 +405,18 @@ def _initial_guess(cfg: dict, problem: solvers.Problem,
         return None  # solver default
     if kind == "zero":
         return problem.state()
-    if kind == "half_reference":
-        if reference is None:
-            raise ConfigError("half_reference initial guess needs a reference run")
-        return problem.state(0.5 * reference.state.u)
-    raise ConfigError(f"unknown initial guess {kind!r}")
+    if reference is None:       # half_reference
+        raise ConfigError("half_reference initial guess needs a reference run")
+    return problem.state(0.5 * reference.state.u)
 
 
-def _run(problem: solvers.Problem, cfg: dict, ref: solvers.SolveReport | None,
-         j_ref: float | None, csv_path: str, meta: dict,
-         **overrides) -> solvers.SolveReport:
-    """Solve from the configured initial guess, with energy errors against
-    j_ref, and write the run's iteration CSV to csv_path."""
-    rep = solvers.solve(problem, solver_config(cfg, **overrides),
+def _run(problem: solvers.Problem, cfg: dict, run_cfg: solvers.SolverConfig,
+         ref: solvers.SolveReport | None, j_ref: float | None, csv_path: str,
+         meta: dict) -> solvers.SolveReport:
+    """Solve with run_cfg, built by ``solver_config`` before the experiment's
+    first solve, from the configured initial guess, with energy errors
+    against j_ref, and write the run's iteration CSV to csv_path."""
+    rep = solvers.solve(problem, run_cfg,
                         u0=_initial_guess(cfg, problem, ref),
                         reference_energy=j_ref)
     os.makedirs(os.path.dirname(csv_path), exist_ok=True)
@@ -429,9 +431,10 @@ def _summary(out: str, table: ResultTable, x: str, ys: list[str], svg: str,
 
 
 def run_solve(cfg: dict, out: str, jobs: int) -> None:
-    problem = (_coarse_problem if cfg["solver.space"] == "coarse" else build_problem)(cfg)
+    run_cfg = solver_config(cfg)
+    problem = (_coarse_problem if run_cfg.space == "coarse" else build_problem)(cfg)
     reference = _fine_reference(problem, cfg) if cfg["solve.reference"] else None
-    report = _run(problem, cfg, reference,
+    report = _run(problem, cfg, run_cfg, reference,
                   None if reference is None else reference.final_energy,
                   os.path.join(out, "iterations.csv"), {"experiment": "solve"})
     summary = ResultTable(
@@ -448,18 +451,20 @@ def run_solve(cfg: dict, out: str, jobs: int) -> None:
 
 
 def run_compare_methods(cfg: dict, out: str, jobs: int) -> None:
+    methods = cfg["compare.methods"]
+    run_cfgs = [solver_config(cfg, method=m, space="fine", max_iters=cfg["compare.max_iters"])
+                for m in methods]
     problem = build_problem(cfg)
     reference = _fine_reference(problem, cfg)
     j_ref = min(reference.final_energy, float(reference.energies.min()))
-    methods = cfg["compare.methods"]
 
-    def one(method: str):
-        return _checked(_run(problem, cfg, reference, j_ref,
+    def one(run_cfg: solvers.SolverConfig):
+        method = run_cfg.method
+        return _checked(_run(problem, cfg, run_cfg, reference, j_ref,
                              os.path.join(out, f"iterations_{method}.csv"),
-                             {"method": method}, method=method, space="fine",
-                             max_iters=cfg["compare.max_iters"]), f"run method={method}")
+                             {"method": method}), f"run method={method}")
 
-    reports = _map(jobs, one, methods)
+    reports = _map(jobs, one, run_cfgs)
     merged_cols = ["n"] + [f"err_{m}" for m in methods]
     n_max = max(len(rep.records) for rep in reports)
     merged_rows = []
@@ -486,6 +491,7 @@ def run_homogenization_error(cfg: dict, out: str, jobs: int) -> None:
             raise ConfigError(
                 f"hom.fine_n={fine_n} is not a power-of-two refinement of nc={nc}"
             )
+    run_cfg = solver_config(cfg, space="coarse")
 
     problems = {nc: _coarse_problem({**cfg, "mesh.nc_x": nc, "mesh.nc_y": nc,
                                      "mesh.refine": (fine_n // nc).bit_length() - 1})
@@ -495,9 +501,9 @@ def run_homogenization_error(cfg: dict, out: str, jobs: int) -> None:
 
     def one(nc: int):
         problem = problems[nc]
-        rep = _checked(_run(problem, cfg, ref, ref.final_energy,
-                            os.path.join(out, f"nc_{nc}", "iterations.csv"), {"nc": nc},
-                            space="coarse"), f"run nc={nc}")
+        rep = _checked(_run(problem, cfg, run_cfg, ref, ref.final_energy,
+                            os.path.join(out, f"nc_{nc}", "iterations.csv"), {"nc": nc}),
+                       f"run nc={nc}")
         h1, w1p = fem.error_norms(rep.state, problem.state(ref.state.u), p)
         energy_err = problem.energy(rep.state) - ref.final_energy
         h_coarse = max(cfg["mesh.lx"] / nc, cfg["mesh.ly"] / nc)
@@ -516,6 +522,12 @@ def run_regularization_study(cfg: dict, out: str, jobs: int) -> None:
         raise ConfigError("regularization-study needs a regularized nfunc.kind and "
                           "nfunc.p != 2: every energy gap is 0 otherwise")
     eps_list = cfg["reg.eps_list"]
+    # the reference needs the smallest floor: an entry equal to it solves the
+    # reference again, and its energy gap is exactly 0
+    low = [e for e in eps_list if e <= cfg["reg.ref_eps_pow"]]
+    if low:
+        raise ConfigError(f"reg.eps_list entries {low} are not above the reference's "
+                          f"reg.ref_eps_pow = {cfg['reg.ref_eps_pow']:g}")
     ref_problem = build_problem({**cfg, "nfunc.eps_minus_pow": cfg["reg.ref_eps_pow"]})
     ref_report = _fine_reference(ref_problem, cfg)
     j_unreg = fem.energy(ref_report.state, ref_problem.kappa,
@@ -545,17 +557,18 @@ def run_sparse_update_study(cfg: dict, out: str, jobs: int) -> None:
     if bad:
         raise ConfigError(f"sparse.delta_list needs thresholds > 0 with distinct "
                           f"run directories delta_<threshold:g>: {bad}")
+    run_cfgs = [solver_config(cfg, space="coarse", delta_i=d) for d in deltas]
     problem = _coarse_problem(cfg)
     ref = _fine_reference(problem, cfg)
     p = cfg["nfunc.p"]
     n_basis = problem.mesh.n_coarse_triangles
 
-    def one(d: float):
+    def one(run_cfg: solvers.SolverConfig):
+        d = run_cfg.delta_i
         tag = f"{d:g}"
-        rep = _checked(_run(problem, cfg, ref, ref.final_energy,
+        rep = _checked(_run(problem, cfg, run_cfg, ref, ref.final_energy,
                             os.path.join(out, f"delta_{tag}", "iterations.csv"),
-                            {"delta_i": tag}, space="coarse", delta_i=d),
-                       f"run delta_i={tag}")
+                            {"delta_i": tag}), f"run delta_i={tag}")
         later = [r.bases_updated for r in rep.records[1:-1]]
         frac = sum(later) / (n_basis * len(later)) if later else 1.0
         h1 = fem.error_norms(rep.state, ref.state, p)[0]
@@ -563,7 +576,7 @@ def run_sparse_update_study(cfg: dict, out: str, jobs: int) -> None:
 
     table = ResultTable(
         columns=["delta_i", "update_percent", "h1_error"],
-        rows=_map(jobs, one, deltas),
+        rows=_map(jobs, one, run_cfgs),
         meta={"experiment": "sparse-update-study"},
     )
     _summary(out, table, "delta_i", ["h1_error"], "h1_error.svg",

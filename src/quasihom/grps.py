@@ -70,7 +70,7 @@ def _entries(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarr
     """mat[rows, cols] over the broadcast index arrays; 0 where cols is -1."""
     shape = np.broadcast_shapes(rows.shape, cols.shape)
     r, c = (np.broadcast_to(x, shape).flatten() for x in (rows, cols))
-    vals = np.asarray(mat[r, c]) if r.size else 0.0   # no index: scipy gives a sparse matrix
+    vals = np.asarray(mat[r, c])
     return np.where(c >= 0, vals, 0.0).reshape(shape)
 
 
@@ -89,24 +89,6 @@ def _singular_interiors(op: sp.csr_matrix, inner: np.ndarray,
         except np.linalg.LinAlgError:
             bad[t] = f"singular KKT system: singular interior of coarse element {t}"
     return bad
-
-
-def _sub(mat, major: np.ndarray, local: np.ndarray, n_minor: int):
-    """mat (CSR or CSC) cut to the rows of a CSR, or the columns of a CSC,
-    `major`, numbered by their place there, and to the minor indices where
-    `local` >= 0, numbered by `local`. An increasing `local` keeps the
-    indices sorted; an int32 one keeps scipy from copying them."""
-    start = mat.indptr[major]
-    counts = mat.indptr[major + 1] - start
-    ends = np.cumsum(counts)
-    at = np.repeat(start - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
-    minor = np.take(local, np.take(mat.indices, at))
-    keep = minor >= 0
-    # the entries left out are few: count them with a search, not a cumsum
-    indptr = np.concatenate([[0], ends - np.searchsorted(np.flatnonzero(~keep), ends)])
-    shape = (major.size, n_minor) if mat.format == "csr" else (n_minor, major.size)
-    return type(mat)((np.take(mat.data, at[keep]), minor[keep], indptr.astype(np.int32)),
-                     shape=shape)
 
 
 def _condense(space: CoarseSpace, op: sp.csr_matrix) -> tuple[sparsela.Condensation, dict]:
@@ -131,7 +113,7 @@ def _condense(space: CoarseSpace, op: sp.csr_matrix) -> tuple[sparsela.Condensat
     is_skel[inner] = False
     kept = np.flatnonzero(is_skel)
     n_s = kept.size
-    index = np.full(n_free + 1, -1, dtype=np.int32)
+    index = np.full(n_free + 1, -1)
     index[kept] = np.arange(n_s)
 
     n_i = inner.shape[1]
@@ -147,8 +129,8 @@ def _condense(space: CoarseSpace, op: sp.csr_matrix) -> tuple[sparsela.Condensat
         a_ii[list(singular)] = np.eye(n_i)   # never read: their patches fail
         coupling = np.linalg.solve(a_ii, right)
 
-    a_ss = _sub(op, kept, index, n_s).tocoo()
-    b_s = _sub(space.meas, np.arange(n_coarse), index, n_s).tocoo()
+    a_ss = op[kept][:, kept].tocoo()
+    b_s = space.meas[:, kept].tocoo()
     gather = np.concatenate([index[skel], n_s + np.arange(n_coarse)[:, None]], axis=1)
     r, c = np.broadcast_arrays(gather[:, :, None], gather[:, None, :])
     keep = (r >= 0) & (c >= 0)
@@ -165,9 +147,8 @@ def _patch_factor(space: CoarseSpace, op: sp.csr_matrix, cond: sparsela.Condensa
     """The KKT factor of the patch of coarse elements `ids` and free-node
     positions `pos`, factored over its skeleton nodes and constraints only:
     the whole problem's condensation `cond` cut to the patch."""
-    # intp maps: scipy copies the cuts' indices to int32, and every saddle
-    # solve then indexes with intp arrays, which is faster
-    local = np.full(op.shape[0] + 1, -1)
+    # intp maps: every saddle solve indexes with them, faster than with int32
+    local = np.full(op.shape[0], -1)
     local[pos] = np.arange(pos.size)
     in_patch = local[cond.kept]
     skel = np.flatnonzero(in_patch >= 0)
@@ -175,8 +156,8 @@ def _patch_factor(space: CoarseSpace, op: sp.csr_matrix, cond: sparsela.Condensa
     red = np.full(cond.kkt.shape[0] + 1, -1)
     red[at] = np.arange(at.size)
     return sparsela.KKTFactor(
-        _sub(op, pos, local, pos.size), _sub(space.meas, ids, local, pos.size),
-        sparsela.Condensation(kkt=_sub(cond.kkt, at, red, at.size), kept=in_patch[skel],
+        op[pos][:, pos], space.meas[ids][:, pos],
+        sparsela.Condensation(kkt=cond.kkt[:, at][at], kept=in_patch[skel],
                               interior=local[cond.interior[ids]],
                               gather=red[cond.gather[ids]], coupling=cond.coupling[ids]))
 

@@ -482,7 +482,9 @@ def solve(problem: Problem, cfg: SolverConfig, u0: fem.FemState | None = None,
                 break
 
             if cfg.estimate_cn and cfg.method in ("pgd", "newton"):
-                w0 = w if space is None else direction(problem, state, cfg, r, op, None)[0]
+                # the fine step factored here, so that a trace of solve
+                # shows the c_tilde estimate's own factorization
+                w0 = w if space is None else sparsela.factorized_spd(op)(-r)
                 with contextlib.suppress(ValueError):     # c_tilde stays nan
                     rec.c_tilde = estimate_cn(problem, state, w0, op)
 

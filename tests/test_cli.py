@@ -317,6 +317,8 @@ def test_csv_17_digit_format(tmp_path):
 
 _NC2 = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2"]
 
+_EPS_AT_REFERENCE = ["regularization-study", "--mesh.nc_x", "2", "--mesh.nc_y", "2",
+                     "--reg.eps_list", "1e-4,1e-10,1e-12"]
 _REPEATED_OVERRIDE = ["solve", "--mesh.nc_x", "2", "--mesh.nc_y", "2", "--mesh.nc_x", "4"]
 
 # a coarse space below two refinements can build no basis: these stopped at
@@ -400,6 +402,18 @@ _REFINE_ONE = [
     *_REFINE_ONE,
     # the last value used to win without a word
     _REPEATED_OVERRIDE,
+    # a run's solver config used to be checked only after the fine reference
+    # (and, in compare-methods, the runs before it) had been solved
+    ["compare-methods", "--compare.methods", "newton,foo"],
+    ["compare-methods", "--compare.max_iters", "-1"],
+    ["compare-methods", "--solver.u0", "foo"],
+    ["homogenization-error", "--solver.method", "quasinorm"],
+    ["sparse-update-study", "--solver.method", "quasinorm"],
+    ["solve", "--solver.space", "coarse", "--solver.method", "quasinorm",
+     "--solve.reference", "true"],
+    # an entry at the reference's floor solved the reference again, and its
+    # zero gap ended in a plotting traceback (exit 1)
+    _EPS_AT_REFERENCE,
 ], ids=["delta_i", "delta_i_full", "delta_i_negative", "delta_i_nan",
         "delta_list_zero", "delta_list_duplicate_tag", "nfunc_p", "nc_list",
         "inner_cap_removed", "cq", "max_iters", "fine_n_below_nc", "fine_n_zero", "nc_zero",
@@ -412,16 +426,21 @@ _REFINE_ONE = [
         "eps_minus_pow_one", "eps_minus_pow_negative", "eps_minus_pow_zero",
         "nc_list_repeated", "methods_repeated",
         "eps_list_repeated", "coarse_refine_one", "coarse_refine_one_global",
-        "hom_refine_one", "override_repeated"])
+        "hom_refine_one", "override_repeated", "methods_unknown_after_valid",
+        "compare_max_iters_negative", "u0_unknown", "hom_quasinorm", "sparse_quasinorm",
+        "solve_reference_coarse_quasinorm", "eps_list_at_reference"])
 def test_main_bad_value_exit_code(tmp_path, args, monkeypatch, capsys):
     monkeypatch.setattr(solvers, "solve", lambda *a, **k: pytest.fail("solve reached"))
     rc = main([*args, "--config", os.path.join(CONFIGS, "mstrig_desk.cfg"),
                "--out", str(tmp_path)])
     assert rc == cli.EXIT_CONFIG
+    assert not any(tmp_path.iterdir())
     if args in _REFINE_ONE:
         assert "mesh.refine >= 2" in capsys.readouterr().err
     if args == _REPEATED_OVERRIDE:
         assert "'mesh.nc_x' is given twice" in capsys.readouterr().err
+    if args == _EPS_AT_REFERENCE:
+        assert "reg.eps_list entries [1e-10, 1e-12]" in capsys.readouterr().err
 
 
 _OVERFLOW = ["--mesh.nc_x", "2", "--mesh.nc_y", "2", "--nfunc.p", "1000",

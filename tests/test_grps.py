@@ -458,6 +458,59 @@ def test_each_patch_factors_its_skeleton_nodes_and_constraints(kkt_calls):
     assert len(calls.solves) == 32
 
 
+def _stored_in(coo, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The mask of the stored entries of coo in rows x cols."""
+    return np.isin(coo.row, rows) & np.isin(coo.col, cols)
+
+
+def test_patch_factors_store_every_entry_of_their_cut_zeros_included():
+    # each patch's matrices hold exactly the stored entries of the whole
+    # problem's that fall in the patch's rows and columns, the explicit
+    # zeros of the condensation's correction blocks too: the minimum-degree
+    # ordering depends on them
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    op = pr.operator(pr.state(), "newton")
+    space = coarse_space(pr.mesh, 2)
+    cond, _ = grps._condense(space, op)
+    kkt, a, b = cond.kkt.tocoo(), op.tocoo(), space.meas.tocoo()
+    zeros = 0
+    for i in range(pr.mesh.n_coarse_triangles):
+        patch = build_patch(pr.mesh, i, 2)
+        ids, pos = patch.elements, pr.mesh.free_pos[patch.interior_fine_nodes]
+        factor = grps._patch_factor(space, op, cond, ids, pos)
+        at = np.concatenate([np.flatnonzero(np.isin(cond.kept, pos)), cond.kept.size + ids])
+        assert np.all(np.diff(at) > 0)
+        mask = _stored_in(kkt, at, at)
+        want = sp.csc_matrix((kkt.data[mask], (np.searchsorted(at, kkt.row[mask]),
+                                               np.searchsorted(at, kkt.col[mask]))),
+                             shape=(at.size,) * 2)
+        cut = factor.condensation.kkt
+        assert cut.format == "csc" and cut.nnz == mask.sum()
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(cut, attr), getattr(want, attr))
+        assert factor.a.nnz == _stored_in(a, pos, pos).sum()
+        assert factor.b.nnz == _stored_in(b, ids, pos).sum()
+        zeros += np.count_nonzero(cut.data == 0)
+    assert zeros > 0
+
+
+@pytest.mark.parametrize("layers", [2, None], ids=["localized", "global"])
+def test_refresh_of_no_basis_keeps_the_basis_and_factors_nothing(layers, rng, kkt_calls,
+                                                                 monkeypatch):
+    # an indicator pass may select no basis: every stored value comes back
+    # as it was (the row scaling that zeroes rebuilt rows may reorder a row's
+    # stored entries, not change them)
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    space = refresh_basis(coarse_space(pr.mesh, layers), pr.operator(pr.state(), "newton"),
+                          range(32))
+    monkeypatch.setattr(grps, "_condense", lambda *a: pytest.fail("condensed"))
+    calls = kkt_calls()
+    same = refresh_basis(space, pr.operator(random_state(pr, rng), "newton"), [])
+    assert same.basis.nnz == space.basis.nnz
+    assert np.array_equal(same.basis.toarray(), space.basis.toarray())
+    assert calls.factors == [] and calls.solves == []
+
+
 def _shared_patch_groups(mesh, layers):
     """Coarse elements grouped by the elements of their patch."""
     groups = {}

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -426,6 +427,27 @@ def test_solve_coarse_sparse_zero_threshold_bitwise():
     m = pr.mesh.n_coarse_triangles
     assert all(r.bases_updated == m for r in rep_tiny.records[:-1])
     assert all(r.bases_updated == m for r in rep_zero.records[:-1])
+
+
+def test_coarse_c_tilde_direction_is_factored_by_solve(monkeypatch):
+    # the fine direction of a coarse run's c_tilde estimate is one sparse
+    # factorization per iteration, called from solve itself, so that a trace
+    # of solve counts it as the estimate's
+    pr = make_problem(4, 2, p=5.0, kind="mstrig")
+    callers = []
+    factorized = sparsela.factorized_spd
+
+    def spy(a):
+        callers.append(sys._getframe(1).f_code)
+        return factorized(a)
+
+    monkeypatch.setattr(sparsela, "factorized_spd", spy)
+    rep = solvers.solve(pr, SolverConfig(method="newton", space="coarse", max_iters=3,
+                                         line_search="plain", estimate_cn=True))
+    iters = len(rep.records) - 1
+    assert iters == 3
+    assert callers.count(solvers.solve.__code__) == iters
+    assert all(math.isfinite(r.c_tilde) for r in rep.records[:-1])
 
 
 def test_solve_coarse_zero_threshold_skips_indicators(monkeypatch):
